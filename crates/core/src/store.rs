@@ -344,47 +344,40 @@ pub(crate) fn write_store(
         }
     }
 
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)
-                .map_err(|e| GraphError::io("creating the store directory", e))?;
+    publish(path, |w| {
+        let mut wr = |bytes: &[u8]| {
+            w.write_all(bytes).map_err(|e| GraphError::io("writing the store file", e))
+        };
+        let mut flags = 0u32;
+        if symmetric {
+            flags |= FLAG_SYMMETRIC;
         }
-    }
-    let file = File::create(path).map_err(|e| GraphError::io("creating the store file", e))?;
-    let mut w = BufWriter::new(file);
-    let wr = |w: &mut BufWriter<File>, bytes: &[u8]| {
-        w.write_all(bytes).map_err(|e| GraphError::io("writing the store file", e))
-    };
-
-    let mut flags = 0u32;
-    if symmetric {
-        flags |= FLAG_SYMMETRIC;
-    }
-    if utilities.is_some() {
-        flags |= FLAG_UTILITIES;
-    }
-    wr(&mut w, &MAGIC)?;
-    wr(&mut w, &VERSION.to_le_bytes())?;
-    wr(&mut w, &flags.to_le_bytes())?;
-    wr(&mut w, &(num_nodes as u64).to_le_bytes())?;
-    wr(&mut w, &(neighbors.len() as u64).to_le_bytes())?;
-    wr(&mut w, &sum.0.to_le_bytes())?;
-    wr(&mut w, &[0u8; 24])?;
-    for &o in offsets {
-        wr(&mut w, &o.to_le_bytes())?;
-    }
-    for &n in neighbors {
-        wr(&mut w, &n.to_le_bytes())?;
-    }
-    for &x in weights {
-        wr(&mut w, &x.to_le_bytes())?;
-    }
-    if let Some(utilities) = utilities {
-        for &u in utilities {
-            wr(&mut w, &u.to_le_bytes())?;
+        if utilities.is_some() {
+            flags |= FLAG_UTILITIES;
         }
-    }
-    w.flush().map_err(|e| GraphError::io("flushing the store file", e))?;
+        wr(&MAGIC)?;
+        wr(&VERSION.to_le_bytes())?;
+        wr(&flags.to_le_bytes())?;
+        wr(&(num_nodes as u64).to_le_bytes())?;
+        wr(&(neighbors.len() as u64).to_le_bytes())?;
+        wr(&sum.0.to_le_bytes())?;
+        wr(&[0u8; 24])?;
+        for &o in offsets {
+            wr(&o.to_le_bytes())?;
+        }
+        for &n in neighbors {
+            wr(&n.to_le_bytes())?;
+        }
+        for &x in weights {
+            wr(&x.to_le_bytes())?;
+        }
+        if let Some(utilities) = utilities {
+            for &u in utilities {
+                wr(&u.to_le_bytes())?;
+            }
+        }
+        Ok(())
+    })?;
     let payload = std::mem::size_of_val(offsets)
         + std::mem::size_of_val(neighbors)
         + std::mem::size_of_val(weights)
@@ -392,6 +385,46 @@ pub(crate) fn write_store(
     submod_obs::counter!("store.writes").incr();
     submod_obs::counter!("store.written_bytes").add((HEADER_LEN + payload) as u64);
     Ok(())
+}
+
+/// Publishes a store file at `path`: `write` fills a fresh temp file in
+/// the same directory, which is synced and renamed over `path`, and the
+/// directory is synced after it. A published file is therefore never
+/// truncated or rewritten in place — a reader that already mapped the old
+/// file keeps its inode, and a reader that opens `path` sees either the
+/// old file or the complete new one.
+fn publish(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> Result<(), GraphError>,
+) -> Result<(), GraphError> {
+    static COUNTER: AtomicU64 = AtomicU64::new(0);
+    let dir = match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent,
+        _ => Path::new("."),
+    };
+    std::fs::create_dir_all(dir).map_err(|e| GraphError::io("creating the store directory", e))?;
+    let name = path.file_name().map_or_else(Default::default, |n| n.to_string_lossy());
+    let guard = TempStoreGuard {
+        path: dir.join(format!(
+            ".{name}.{}-{}.tmp",
+            std::process::id(),
+            COUNTER.fetch_add(1, Ordering::Relaxed)
+        )),
+    };
+    let file = File::options()
+        .write(true)
+        .create_new(true)
+        .open(&guard.path)
+        .map_err(|e| GraphError::io("creating the store file", e))?;
+    let mut w = BufWriter::new(file);
+    write(&mut w)?;
+    let file = w.into_inner().map_err(|e| GraphError::io("flushing the store file", e.into()))?;
+    file.sync_data().map_err(|e| GraphError::io("syncing the store file", e))?;
+    std::fs::rename(&guard.path, path)
+        .map_err(|e| GraphError::io("publishing the store file", e))?;
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| GraphError::io("syncing the store directory", e))
 }
 
 /// A validated read-only mapping of a store file.
@@ -632,7 +665,8 @@ pub(crate) fn force_mmap() -> bool {
 }
 
 /// Removes a temp store file on drop, so a panic or early return between
-/// write and unlink cannot leak it into the temp dir.
+/// write and unlink (or rename) cannot leak it. After a successful
+/// publish the temp path no longer exists and the removal is a no-op.
 struct TempStoreGuard {
     path: std::path::PathBuf,
 }

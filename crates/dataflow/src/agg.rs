@@ -8,6 +8,7 @@ use crate::{DataflowError, PCollection};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::hash::Hash;
+use std::sync::Arc;
 
 impl<T: Record> PCollection<T> {
     /// Folds every record into an accumulator per shard, then merges the
@@ -111,19 +112,73 @@ impl PCollection<f64> {
         // clone-per-record aggregate fold. Identical math, identical
         // result, bit for bit.
         let shards = self.ready_shards()?;
-        if shards.iter().all(|s| matches!(s, Shard::InMemory(_))) {
-            let slices: Vec<&[f64]> = shards
-                .iter()
-                .map(|s| match s {
-                    Shard::InMemory(v) => v.as_slice(),
-                    Shard::Spilled(_) => unreachable!("checked all-resident"),
-                })
-                .collect();
-            return kth_largest_slices(&slices, k);
+        match resident(&shards) {
+            Some(columns) => {
+                let slices: Vec<&[f64]> = columns.iter().map(|c| c.as_slice()).collect();
+                kth_largest_slices(&slices, k)
+            }
+            None => self.kth_largest_bisect(k, |&x| x),
         }
+    }
+}
+
+impl<T: Record> PCollection<T> {
+    /// The threshold τ = the `k`-th largest `score` (1-based), together
+    /// with every record whose score is `≥ τ` (ties at τ included, so
+    /// there can be more than `k`) — [`PCollection::kth_largest`] over
+    /// `map(score)` followed by `filter(score ≥ τ)` and `collect`, in one
+    /// operator.
+    ///
+    /// Memory-resident shards are read directly: one scan builds the
+    /// score column, one quickselect picks τ, and the rows at or above
+    /// it are gathered next to that column. Spilled collections keep the
+    /// bisection of [`PCollection::kth_largest`] and then read their
+    /// shards once more for the rows. Either way τ is bit-identical to
+    /// `kth_largest` over the scores, and rows keep collection order.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `k == 0`, `k` exceeds the number of records, a
+    /// score is NaN, or spill I/O fails.
+    pub fn kth_largest_rows<F>(&self, k: u64, score: F) -> Result<(f64, Vec<T>), DataflowError>
+    where
+        F: Fn(&T) -> f64 + Send + Sync,
+    {
+        let _span = submod_obs::span("dataflow.kth_largest");
+        if k == 0 {
+            return Err(DataflowError::invalid("k must be at least 1"));
+        }
+        let shards = self.ready_shards()?;
+        let mut rows = Vec::new();
+        if let Some(columns) = resident(&shards) {
+            let scores: Vec<f64> = columns.iter().flat_map(|c| c.iter().map(&score)).collect();
+            let tau = kth_largest_slices(&[&scores], k)?;
+            let records = columns.iter().flat_map(|c| c.iter());
+            rows.extend(records.zip(&scores).filter(|&(_, &s)| s >= tau).map(|(r, _)| r.clone()));
+            return Ok((tau, rows));
+        }
+        let tau = self.kth_largest_bisect(k, &score)?;
+        for shard in &shards {
+            shard.for_each(|record| {
+                if score(&record) >= tau {
+                    rows.push(record);
+                }
+                Ok(())
+            })?;
+        }
+        Ok((tau, rows))
+    }
+
+    /// The aggregate-based bisection behind both k-th-largest operators:
+    /// O(1) worker memory, at most 64 counting passes over `score`.
+    fn kth_largest_bisect<F>(&self, k: u64, score: F) -> Result<f64, DataflowError>
+    where
+        F: Fn(&T) -> f64 + Send + Sync,
+    {
         let stats = self.aggregate(
             (0u64, u64::MAX, 0u64, false),
-            |(count, lo, hi, nan), x| {
+            |(count, lo, hi, nan), record| {
+                let x = score(&record);
                 if x.is_nan() {
                     (count, lo, hi, true)
                 } else {
@@ -146,8 +201,11 @@ impl PCollection<f64> {
         // non-increasing in t, and the answer is attained at an element.
         while lo < hi {
             let mid = lo + (hi - lo).div_ceil(2);
-            let ge =
-                self.aggregate(0u64, |a, x| a + u64::from(ordered_bits(x) >= mid), |a, b| a + b)?;
+            let ge = self.aggregate(
+                0u64,
+                |a, record| a + u64::from(ordered_bits(score(&record)) >= mid),
+                |a, b| a + b,
+            )?;
             if ge >= k {
                 lo = mid;
             } else {
@@ -156,6 +214,17 @@ impl PCollection<f64> {
         }
         Ok(from_ordered_bits(lo))
     }
+}
+
+/// The shards' resident vectors, or `None` if any shard is spilled.
+fn resident<T: Record>(shards: &[Shard<T>]) -> Option<Vec<&Arc<Vec<T>>>> {
+    shards
+        .iter()
+        .map(|s| match s {
+            Shard::InMemory(v) => Some(v),
+            Shard::Spilled(_) => None,
+        })
+        .collect()
 }
 
 impl<K, V> PCollection<(K, V)>

@@ -12,58 +12,78 @@ type Emit<'a, T> = &'a mut dyn FnMut(T) -> Result<(), DataflowError>;
 /// Executes one deferred per-shard pass: streams the source shard through
 /// the composed operator chain into `emit`, returning how many records
 /// entered the chain.
-type RunFn<T> = Box<dyn Fn(Emit<'_, T>) -> Result<u64, DataflowError> + Send + Sync>;
+type RunFn<T> = Arc<dyn Fn(Emit<'_, T>) -> Result<u64, DataflowError> + Send + Sync>;
+
+/// A fused unit's lifecycle. The chain closure owns its upstream (the
+/// source shard or the parent unit), so it is dropped the moment the
+/// unit executes: an executed unit holds only its own output shards,
+/// and every earlier generation it was derived from becomes free once
+/// nothing else references it.
+#[derive(Clone)]
+enum UnitState<T: Record> {
+    /// Not yet executed: the composed chain.
+    Pending(RunFn<T>),
+    /// Executed: the chain's output.
+    Done(Vec<Shard<T>>),
+}
 
 /// A deferred per-shard operator chain: the composition of every
 /// `map`/`filter`/`flat_map` applied since the last materialized shard,
 /// executed as **one pass** when the collection hits a barrier
-/// (collect/count/aggregate/shuffle). The result is cached so chains that
+/// (collect/count/aggregate/shuffle). The result is kept so chains that
 /// build on an already-executed collection (the greedy engine re-derives
 /// its pool table every step) never re-run upstream stages.
 pub(crate) struct FusedUnit<T: Record> {
     ctx: Arc<Ctx>,
-    run: RunFn<T>,
     /// Number of chained operators, recorded in the
     /// `dataflow.fused_stage_ops` histogram at execution.
     ops: u32,
-    cache: Mutex<Option<Vec<Shard<T>>>>,
+    state: Mutex<UnitState<T>>,
 }
 
 impl<T: Record> FusedUnit<T> {
+    fn pending(ctx: Arc<Ctx>, ops: u32, run: RunFn<T>) -> Self {
+        FusedUnit { ctx, ops, state: Mutex::new(UnitState::Pending(run)) }
+    }
+
     /// Streams the unit's records into `emit` without materializing them
-    /// (used when a further operator fuses on top). Reads the cache when
+    /// (used when a further operator fuses on top). Reads the output when
     /// the unit already executed; otherwise runs the chain directly —
     /// no metrics or spans, those belong to [`FusedUnit::execute`].
     fn stream(&self, emit: Emit<'_, T>) -> Result<u64, DataflowError> {
-        let cached = self.cache.lock().expect("fused cache").clone();
-        if let Some(shards) = cached {
-            let mut entered = 0u64;
-            for shard in &shards {
-                shard.for_each(|record| {
-                    entered += 1;
-                    emit(record)
-                })?;
+        // Clone out of the lock: a pending chain runs without holding it.
+        let state = self.state.lock().expect("fused state").clone();
+        match state {
+            UnitState::Pending(run) => run(emit),
+            UnitState::Done(shards) => {
+                let mut entered = 0u64;
+                for shard in &shards {
+                    shard.for_each(|record| {
+                        entered += 1;
+                        emit(record)
+                    })?;
+                }
+                Ok(entered)
             }
-            return Ok(entered);
         }
-        (self.run)(emit)
     }
 
     /// Executes the chain into budget-checked shards (spilling like any
-    /// transform output), caching the result. One obs span + one
-    /// `stages_fused` tick per actual execution.
+    /// transform output) and replaces the chain with them. One obs span +
+    /// one `stages_fused` tick per actual execution.
     fn execute(&self) -> Result<Vec<Shard<T>>, DataflowError> {
-        let mut cache = self.cache.lock().expect("fused cache");
-        if let Some(shards) = cache.as_ref() {
-            return Ok(shards.clone());
-        }
+        let mut state = self.state.lock().expect("fused state");
+        let run = match &*state {
+            UnitState::Pending(run) => Arc::clone(run),
+            UnitState::Done(shards) => return Ok(shards.clone()),
+        };
         let _span = submod_obs::span_full("dataflow.fused_stage");
         let mut sink = ShardSink::new(&self.ctx);
-        let entered = (self.run)(&mut |record| sink.push(record))?;
+        let entered = run(&mut |record| sink.push(record))?;
         let shards = sink.finish()?;
         self.ctx.metrics.record_processed(entered);
         self.ctx.metrics.record_fused_stage(u64::from(self.ops));
-        *cache = Some(shards.clone());
+        *state = UnitState::Done(shards.clone());
         Ok(shards)
     }
 }
@@ -367,11 +387,10 @@ impl<T: Record> PCollection<T> {
                 let unit = match segment {
                     Segment::Ready(shard) => {
                         let shard = shard.clone();
-                        FusedUnit {
-                            ctx: self.ctx.clone(),
-                            ops: 1,
-                            cache: Mutex::new(None),
-                            run: Box::new(move |emit| {
+                        FusedUnit::pending(
+                            self.ctx.clone(),
+                            1,
+                            Arc::new(move |emit| {
                                 let mut entered = 0u64;
                                 shard.for_each(|record| {
                                     entered += 1;
@@ -379,18 +398,17 @@ impl<T: Record> PCollection<T> {
                                 })?;
                                 Ok(entered)
                             }),
-                        }
+                        )
                     }
                     Segment::Fused(prev) => {
                         let prev = Arc::clone(prev);
-                        FusedUnit {
-                            ctx: self.ctx.clone(),
-                            ops: prev.ops.saturating_add(1),
-                            cache: Mutex::new(None),
-                            run: Box::new(move |emit| {
+                        FusedUnit::pending(
+                            self.ctx.clone(),
+                            prev.ops.saturating_add(1),
+                            Arc::new(move |emit| {
                                 prev.stream(&mut |record| body(record, &mut *emit))
                             }),
-                        }
+                        )
                     }
                 };
                 Segment::Fused(Arc::new(unit))
@@ -440,7 +458,9 @@ impl<T: Record> PCollection<T> {
 
 #[cfg(test)]
 mod tests {
+    use crate::pipeline::Shard;
     use crate::{MemoryBudget, Pipeline};
+    use std::sync::Arc;
 
     fn pipeline() -> Pipeline {
         Pipeline::new(3).unwrap()
@@ -558,6 +578,26 @@ mod tests {
         // Chaining on top of the cached result streams from the cache.
         assert_eq!(mapped.map(|x| x * 2).unwrap().count().unwrap(), 40);
         assert_eq!(p.metrics().stages_fused, stages_after_first + 2);
+    }
+
+    #[test]
+    fn executed_generations_release_their_upstream() {
+        let p = Pipeline::builder().workers(2).build().unwrap();
+        let gen0 = p.from_vec((0u64..64).collect()).map(|x| x + 1).unwrap().materialize().unwrap();
+        let weak = match gen0.ready_shards().unwrap().into_iter().next() {
+            Some(Shard::InMemory(rows)) => Arc::downgrade(&rows),
+            other => panic!("expected a resident generation-0 shard, got {other:?}"),
+        };
+        // Each generation fuses onto the previous one and executes, the
+        // way the greedy engine re-derives its pool table every pass.
+        let mut newest = gen0;
+        for _ in 0..4 {
+            newest = newest.map(|x| x * 2).unwrap();
+            assert_eq!(newest.count().unwrap(), 64);
+        }
+        assert!(weak.upgrade().is_none(), "generation 0 is still reachable from the newest");
+        let sum: u64 = newest.collect().unwrap().iter().sum();
+        assert_eq!(sum, (1u64..=64).sum::<u64>() * 16);
     }
 
     #[test]

@@ -25,6 +25,29 @@ fn apply_chain(source: &PCollection<u64>, ops: &[u32]) -> PCollection<u64> {
     current
 }
 
+/// Keys every value by its index, routed through a map so the rows land in
+/// budget-checked sinks (a raw `from_vec` shard is exempt from the budget).
+fn keyed(pipeline: &Pipeline, values: &[f64]) -> PCollection<(u64, f64)> {
+    pipeline
+        .from_vec(values.iter().copied().enumerate().map(|(i, x)| (i as u64, x)).collect())
+        .map(|row| row)
+        .unwrap()
+}
+
+/// `kth_largest_rows` must return the τ of `map → kth_largest` and the
+/// rows of `filter(score ≥ τ) → collect`, bit for bit and in order.
+fn rows_match_map_kth_filter(rows: &PCollection<(u64, f64)>, k: u64) -> Result<(), TestCaseError> {
+    let (tau, got) = rows.kth_largest_rows(k, |&(_, x)| x).unwrap();
+    let expected_tau = rows.map(|(_, x)| x).unwrap().kth_largest(k).unwrap();
+    prop_assert_eq!(tau.to_bits(), expected_tau.to_bits(), "k = {}", k);
+    let expected = rows.filter(move |&(_, x)| x >= expected_tau).unwrap().collect().unwrap();
+    let bits = |rows: Vec<(u64, f64)>| -> Vec<(u64, u64)> {
+        rows.into_iter().map(|(i, x)| (i, x.to_bits())).collect()
+    };
+    prop_assert_eq!(bits(got), bits(expected), "k = {}", k);
+    Ok(())
+}
+
 fn roundtrip<T: Record + PartialEq + std::fmt::Debug>(value: &T) -> Result<(), TestCaseError> {
     let mut buf = Vec::new();
     value.encode(&mut buf);
@@ -144,11 +167,13 @@ proptest! {
     fn kth_largest_matches_sort(values in proptest::collection::vec(-1e6f64..1e6, 1..200)) {
         let pipeline = Pipeline::new(3).unwrap();
         let pc = pipeline.from_vec(values.clone());
+        let rows = keyed(&pipeline, &values);
         let mut sorted = values;
         sorted.sort_by(|a, b| b.total_cmp(a));
         for k in [1usize, sorted.len() / 2 + 1, sorted.len()] {
             let got = pc.kth_largest(k as u64).unwrap();
             prop_assert_eq!(got, sorted[k - 1], "k = {}", k);
+            rows_match_map_kth_filter(&rows, k as u64)?;
         }
     }
 
@@ -172,11 +197,16 @@ proptest! {
         let pipeline = builder.build().unwrap();
         // Route through a map so the records land in budget-checked sinks.
         let pc = pipeline.from_vec(values.clone()).map(|x| x).unwrap();
+        let rows = keyed(&pipeline, &values);
         let mut sorted = values;
         sorted.sort_by(|a, b| b.total_cmp(a));
         for k in 1..=sorted.len() {
             let got = pc.kth_largest(k as u64).unwrap();
             prop_assert_eq!(got.to_bits(), sorted[k - 1].to_bits(), "k = {}", k);
+        }
+        // Four distinct values: τ always sits in a heavy tie.
+        for k in [1, sorted.len() / 2 + 1, sorted.len()] {
+            rows_match_map_kth_filter(&rows, k as u64)?;
         }
     }
 
@@ -186,8 +216,12 @@ proptest! {
     fn kth_largest_all_equal(value in -1e9f64..1e9, len in 1usize..60) {
         let pipeline = Pipeline::new(4).unwrap();
         let pc = pipeline.from_vec(vec![value; len]);
+        let rows = keyed(&pipeline, &vec![value; len]);
         for k in [1, len.div_ceil(2), len] {
             prop_assert_eq!(pc.kth_largest(k as u64).unwrap().to_bits(), value.to_bits());
+            rows_match_map_kth_filter(&rows, k as u64)?;
+            // Every row ties at τ, so every row comes back.
+            prop_assert_eq!(rows.kth_largest_rows(k as u64, |&(_, x)| x).unwrap().1.len(), len);
         }
     }
 
@@ -391,11 +425,13 @@ proptest! {
             vec![-0.0f64, 0.0, f64::MIN_POSITIVE / 2.0, f64::MAX, f64::MIN, 1.0, -1.0, 0.0];
         let pipeline = Pipeline::new(workers).unwrap();
         let pc = pipeline.from_vec(values.clone());
+        let rows = keyed(&pipeline, &values);
         let mut sorted = values;
         sorted.sort_by(|a, b| b.total_cmp(a));
         for k in 1..=sorted.len() {
             let got = pc.kth_largest(k as u64).unwrap();
             prop_assert_eq!(got.to_bits(), sorted[k - 1].to_bits(), "k = {}", k);
+            rows_match_map_kth_filter(&rows, k as u64)?;
         }
     }
 

@@ -384,28 +384,30 @@ pub(crate) struct DataflowGreedyBackend<'a> {
 /// One scored-pool row: `(machine, (node, priority))`.
 type ScoredRow = (u64, (u64, f64));
 
-/// One winner shipped to workers by the batched update: the machine, the
-/// popped node, and the winner's adjacency sorted by neighbor id (so the
-/// discount lookup is a binary search, like the in-memory bucket walk).
-type ShippedWinner = (u64, u64, Vec<(u64, f32)>);
+/// One batch's decrease wave, as shipped to workers: one entry per
+/// `(machine, node)` row the batch touches, sorted by that key and, within
+/// a key, in pop order. `None` removes the row (the key is a popped
+/// winner); `Some(d)` subtracts the discount `d = (β/α)·s(winner, node)`.
+type DiscountTable = Vec<((u64, u64), Option<f64>)>;
 
-/// Collects each winner's adjacency into the owned, sorted form the
-/// engine-side update closure binary-searches. Owning the rows is what
-/// makes the update `'static` (and hence fusable) — the graph itself
-/// never crosses into the closure.
-fn ship_winners(
-    graph: &SimilarityGraph,
-    winners: impl IntoIterator<Item = (u64, u64)>,
-) -> Vec<ShippedWinner> {
-    winners
-        .into_iter()
-        .map(|(machine, node)| {
-            let mut adj: Vec<(u64, f32)> =
-                graph.edges(NodeId::new(node)).map(|(x, s)| (x.raw(), s)).collect();
-            adj.sort_unstable_by_key(|&(x, _)| x);
-            (machine, node, adj)
-        })
-        .collect()
+/// Builds the discount table of `winners` (in pop order): each winner's
+/// removal plus one discount per adjacent node, keyed by the winner's
+/// machine. A stable sort keeps each key's entries in pop order, so a row
+/// applies exactly the subtraction sequence of per-pop updates. Owning
+/// the table is what makes the update `'static` (and hence fusable) — the
+/// graph itself never crosses into the closure.
+fn discount_table(graph: &SimilarityGraph, ratio: f64, winners: &[(u64, u64)]) -> DiscountTable {
+    let mut table: DiscountTable = Vec::new();
+    for &(machine, winner) in winners {
+        table.push(((machine, winner), None));
+        table.extend(
+            graph
+                .edges(NodeId::new(winner))
+                .map(|(x, s)| ((machine, x.raw()), Some(ratio * f64::from(s)))),
+        );
+    }
+    table.sort_by_key(|&(key, _)| key);
+    table
 }
 
 impl<'a> DataflowGreedyBackend<'a> {
@@ -439,33 +441,26 @@ impl<'a> DataflowGreedyBackend<'a> {
         self
     }
 
-    /// Applies one group of certified winners to the engine-resident
+    /// Applies one group of winners (in pop order) to the engine-resident
     /// table: every winner leaves its machine's pool, and each surviving
     /// same-machine candidate receives the winners' discounts **in pop
     /// order** — the same subtraction sequence, in the same order, as the
     /// per-step updates, so intermediate priorities stay bit-identical.
+    /// Each row costs one binary search into the batch's discount table.
     fn apply_winners(
         &self,
         table: &PCollection<ScoredRow>,
-        shipped: Vec<ShippedWinner>,
+        winners: &[(u64, u64)],
     ) -> Result<PCollection<ScoredRow>, DistError> {
         // Meter what a real deployment would broadcast: the winner rows.
-        let _metered =
-            self.pipeline.broadcast(shipped.iter().map(|&(m, v, _)| (m, v)).collect::<Vec<_>>());
-        let shipped = std::sync::Arc::new(shipped);
-        let ratio = self.objective.ratio();
+        let _metered = self.pipeline.broadcast(winners.to_vec());
+        let discounts = discount_table(self.graph, self.objective.ratio(), winners);
         let table = table.flat_map(move |(machine, (v, p))| {
+            let key = (machine, v);
+            let first = discounts.partition_point(|&(k, _)| k < key);
             let mut p = p;
-            for &(m, winner, ref adj) in shipped.iter() {
-                if m != machine {
-                    continue;
-                }
-                if v == winner {
-                    return None; // popped: the winner leaves the pool
-                }
-                if let Ok(e) = adj.binary_search_by_key(&v, |&(x, _)| x) {
-                    p -= ratio * f64::from(adj[e].1);
-                }
+            for &(_, discount) in discounts[first..].iter().take_while(|&&(k, _)| k == key) {
+                p -= discount?; // `None`: popped, the winner leaves the pool
             }
             Some((machine, (v, p)))
         })?;
@@ -499,8 +494,7 @@ impl MachineGreedyBackend for DataflowGreedyBackend<'_> {
             // subtraction, with the winner-side edge weight, as the queue
             // update. The update fuses with the argmax scan below into
             // one pass over the table.
-            table =
-                self.apply_winners(&table, ship_winners(self.graph, previous.iter().copied()))?;
+            table = self.apply_winners(&table, previous)?;
             self.table = Some(table.clone());
         }
         let mut winners: Vec<(u64, u64, f64)> = table
@@ -537,11 +531,9 @@ impl MachineGreedyBackend for DataflowGreedyBackend<'_> {
                 // machines: every row ≥ τ reaches the driver, everything
                 // below τ stays engine-resident and can only decrease.
                 let batch_k = (self.winner_batch as u64).min(remaining);
-                let tau = table.map(|(_, (_, p))| p)?.kth_largest(batch_k)?;
-                let mut candidates: Vec<(u64, u64, f64)> = table
-                    .filter(move |&(_, (_, p))| p >= tau)?
-                    .map(|(m, (v, p))| (m, v, p))?
-                    .collect()?;
+                let (tau, rows) = table.kth_largest_rows(batch_k, |&(_, (_, p))| p)?;
+                let mut candidates: Vec<(u64, u64, f64)> =
+                    rows.into_iter().map(|(m, (v, p))| (m, v, p)).collect();
                 driver_bytes += (candidates.len() * size_of::<(u64, u64, f64)>()) as u64;
                 // When the whole table came back, the replay is complete:
                 // no engine-side rows exist to invalidate a pop.
@@ -617,8 +609,7 @@ impl MachineGreedyBackend for DataflowGreedyBackend<'_> {
                 // survivors take the discounts in pop order
                 // (`batch_winners` is built machine-ascending with pops in
                 // order, matching the replay's subtraction sequence).
-                table =
-                    self.apply_winners(&table, ship_winners(self.graph, batch_winners.clone()))?;
+                table = self.apply_winners(&table, &batch_winners)?;
                 if !newly_done.is_empty() {
                     // Drop rows of machines that hit quota so they stop
                     // competing for τ. The machine list is broadcast-sized.

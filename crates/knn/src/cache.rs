@@ -88,7 +88,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use submod_core::GraphBuilder;
+    use submod_core::{GraphBuilder, NodeId};
 
     fn sample_graph() -> (SimilarityGraph, Vec<f32>) {
         let mut b = GraphBuilder::new(4);
@@ -174,6 +174,48 @@ mod tests {
         fs::write(&path, b"garbage").unwrap();
         let (graph, _) = load_or_build(&path, || Ok(sample_graph())).unwrap();
         assert_eq!(graph.num_nodes(), 4);
+        let _ = fs::remove_file(&path);
+    }
+
+    /// Threads racing on one cold cache path each build and publish the
+    /// graph while the others already map it. A publish must never
+    /// truncate a mapped file (touching a truncated mapping raises
+    /// SIGBUS), so every thread reads every edge of an intact graph.
+    #[test]
+    fn concurrent_cold_loads_never_truncate_a_mapped_file() {
+        const NODES: u64 = 4000;
+        let build = || {
+            let mut b = GraphBuilder::new(NODES as usize);
+            for v in 0..NODES {
+                for d in [1, 7, 31] {
+                    b.add_undirected(v, (v + d) % NODES, 0.5).unwrap();
+                }
+            }
+            Ok((b.build(), vec![0.5; NODES as usize]))
+        };
+        let path = temp_path("concurrent-cold.bin");
+        for _round in 0..3 {
+            let _ = fs::remove_file(&path);
+            let start = std::sync::Barrier::new(8);
+            std::thread::scope(|scope| {
+                for _ in 0..8 {
+                    scope.spawn(|| {
+                        start.wait();
+                        let (graph, utilities) = load_or_build(&path, build).unwrap();
+                        let (mut edges, mut weight) = (0usize, 0.0f64);
+                        for v in 0..graph.num_nodes() {
+                            for (_, s) in graph.edges(NodeId::from_index(v)) {
+                                edges += 1;
+                                weight += f64::from(s);
+                            }
+                        }
+                        assert_eq!(edges, 6 * NODES as usize);
+                        assert_eq!(weight, 3.0 * NODES as f64);
+                        assert_eq!(utilities.len(), NODES as usize);
+                    });
+                }
+            });
+        }
         let _ = fs::remove_file(&path);
     }
 

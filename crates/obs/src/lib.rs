@@ -49,7 +49,7 @@ pub mod faults;
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -733,31 +733,52 @@ pub fn metrics_csv(snap: &MetricsSnapshot) -> String {
 // Process RSS (the one place /proc/self/status is parsed)
 // ---------------------------------------------------------------------------
 
+/// Reads `VmRSS` and `VmHWM` (KiB) from `/proc/self/status` in one read
+/// (`None` off Linux or if a field is missing).
+fn status_rss_kib() -> Option<(u64, Option<u64>)> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let field = |name: &str| {
+        status.lines().find_map(|line| {
+            line.strip_prefix(name)?.trim().strip_suffix("kB")?.trim().parse().ok()
+        })
+    };
+    Some((field("VmRSS:")?, field("VmHWM:")))
+}
+
+/// Set when a `VmHWM` reset through `/proc/self/clear_refs` failed: the
+/// kernel's high-water mark then still covers the time before the
+/// baseline, and `process.rss_peak_kib` falls back to folding samples.
+static HWM_STALE: AtomicBool = AtomicBool::new(false);
+
 /// Current resident-set size from `/proc/self/status`, in KiB (`None`
 /// off Linux or if the field is missing).
 pub fn current_rss_kib() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmRSS:") {
-            return rest.trim().trim_end_matches(" kB").trim().parse().ok();
-        }
-    }
-    None
+    status_rss_kib().map(|(rss, _)| rss)
 }
 
 /// Samples the process RSS into the registry: sets `process.rss_kib`,
-/// folds `process.rss_peak_kib` as a running max. Returns the sample.
+/// and raises `process.rss_peak_kib` to the kernel's high-water mark
+/// (`VmHWM`, reset at [`mark_rss_baseline`]) — a true peak, not only the
+/// largest sample. Where `VmHWM` is missing or could not be reset, the
+/// peak is the running max of the samples. Returns the current RSS.
 pub fn sample_rss() -> Option<u64> {
-    let rss = current_rss_kib()?;
+    let (rss, hwm) = status_rss_kib()?;
     gauge!("process.rss_kib").set(rss);
-    gauge!("process.rss_peak_kib").fetch_max(rss);
+    let peak = match hwm {
+        Some(hwm) if !HWM_STALE.load(Ordering::Relaxed) => hwm,
+        _ => rss,
+    };
+    gauge!("process.rss_peak_kib").fetch_max(peak);
     Some(rss)
 }
 
 /// Marks the current RSS as `process.rss_baseline_kib` and restarts the
-/// peak from it, so `rss_peak_kib − rss_baseline_kib` is the growth of
-/// the region that follows (the `ltm` steady-state meter).
+/// peak from it — resetting the kernel's `VmHWM` by writing `5` to
+/// `/proc/self/clear_refs` — so `rss_peak_kib − rss_baseline_kib` is the
+/// growth of the region that follows (the `ltm` steady-state meter).
 pub fn mark_rss_baseline() -> Option<u64> {
+    let reset = std::fs::write("/proc/self/clear_refs", "5").is_ok();
+    HWM_STALE.store(!reset, Ordering::Relaxed);
     let rss = current_rss_kib()?;
     gauge!("process.rss_baseline_kib").set(rss);
     gauge!("process.rss_kib").set(rss);

@@ -3,6 +3,7 @@
 //! to the unconstrained in-memory reference.
 
 use submod_select::prelude::*;
+use submod_select::submod_obs;
 
 fn instance() -> SelectionInstance {
     build_instance(&DatasetConfig::tiny().with_points_per_class(25).with_seed(77))
@@ -172,6 +173,96 @@ fn engine_resident_greedy_driver_memory_is_winners_only() {
     }
     assert_eq!(fingerprints[0], fingerprints[1]);
     assert_eq!(fingerprints[0], fingerprints[2]);
+}
+
+/// Marks the re-exec'd child of the process-memory test.
+const MEMORY_CHILD_ENV: &str = "LTM_PROCESS_MEMORY_CHILD";
+
+/// The §5 claim checked against what the process really holds, not only
+/// against the engine's own byte accounting: lockstep dataflow greedy on
+/// a 10 k-node graph under a 64 KiB worker budget may grow the process's
+/// peak resident set (`VmHWM`, reset at the baseline) by no more than the
+/// driver-memory formula (`GreedyStats` round + state bytes), the
+/// workers' budgets, and a fixed 32 MiB allowance for the runtime. An
+/// engine that kept every pass's pool table alive grows by ~200 MiB here.
+///
+/// The run happens in a re-exec'd child so the high-water mark is not
+/// shared with the tests running concurrently in this binary.
+#[test]
+fn lockstep_dataflow_greedy_process_memory_stays_within_the_driver_formula() {
+    if std::env::var_os(MEMORY_CHILD_ENV).is_some() {
+        process_memory_child();
+        return;
+    }
+    let exe = std::env::current_exe().expect("test binary path");
+    let output = std::process::Command::new(&exe)
+        .args([
+            "lockstep_dataflow_greedy_process_memory_stays_within_the_driver_formula",
+            "--exact",
+            "--test-threads=1",
+            "--nocapture",
+        ])
+        .env(MEMORY_CHILD_ENV, "1")
+        .output()
+        .expect("re-exec the test binary");
+    assert!(
+        output.status.success(),
+        "child run failed ({}):\n{}\n{}",
+        output.status,
+        String::from_utf8_lossy(&output.stdout),
+        String::from_utf8_lossy(&output.stderr)
+    );
+}
+
+fn process_memory_child() {
+    const N: u64 = 10_000;
+    const WORKERS: usize = 8;
+    const BUDGET: u64 = 64 * 1024;
+    const RUNTIME_ALLOWANCE: u64 = 32 << 20;
+    let mut builder = GraphBuilder::new(N as usize);
+    for v in 0..N {
+        for (d, s) in [(1u64, 0.6f32), (17, 0.4), (389, 0.3), (2003, 0.2), (4999, 0.1)] {
+            builder.add_undirected(v, (v + d) % N, s).unwrap();
+        }
+    }
+    let graph = builder.build();
+    let utilities: Vec<f32> = (0..N).map(|i| 0.1 + ((i * 7919) % 1000) as f32 / 1000.0).collect();
+    let objective = PairwiseObjective::from_alpha(0.9, utilities).unwrap();
+    let ground: Vec<NodeId> = (0..N as usize).map(NodeId::from_index).collect();
+    let config = DistGreedyConfig::new(WORKERS, 4).unwrap().seed(17).adaptive(true);
+    let pipeline = Pipeline::builder()
+        .workers(WORKERS)
+        .memory_budget(MemoryBudget::bytes(BUDGET))
+        .build()
+        .unwrap();
+
+    if std::fs::write("/proc/self/clear_refs", "5").is_err() {
+        eprintln!("VmHWM cannot be reset on this platform; skipping the process-memory check");
+        return;
+    }
+    let Some(baseline_kib) = submod_obs::mark_rss_baseline() else {
+        eprintln!("no VmRSS on this platform; skipping the process-memory check");
+        return;
+    };
+    let (report, stats) = distributed_greedy_dataflow_with_stats(
+        &pipeline, &graph, &objective, &ground, 1000, &config,
+    )
+    .unwrap();
+    submod_obs::sample_rss().expect("rss readable");
+    assert_eq!(report.selection.selected().len(), 1000);
+
+    let peak_kib = submod_obs::snapshot().gauges["process.rss_peak_kib"];
+    let growth = (peak_kib - baseline_kib) * 1024;
+    let driver = stats.peak_round_bytes + stats.peak_state_bytes;
+    let bound = driver + WORKERS as u64 * (BUDGET + 4096) + RUNTIME_ALLOWANCE;
+    println!("VmHWM growth {growth} B, driver formula {driver} B, bound {bound} B");
+    assert!(
+        growth <= bound,
+        "process peak grew by {} MiB; the driver formula allows {driver} B plus worker budgets \
+         and a {} MiB runtime allowance",
+        growth >> 20,
+        RUNTIME_ALLOWANCE >> 20
+    );
 }
 
 #[test]
