@@ -23,16 +23,6 @@ fn bench_group_by_key(c: &mut Criterion) {
         let pc = pipeline.from_vec(records.clone());
         b.iter(|| pc.group_by_key().unwrap().count().unwrap())
     });
-    group.bench_function("spilling_256KiB_lz", |b| {
-        let pipeline = Pipeline::builder()
-            .workers(8)
-            .memory_budget(MemoryBudget::bytes(256 * 1024))
-            .spill_compression(true)
-            .build()
-            .unwrap();
-        let pc = pipeline.from_vec(records.clone());
-        b.iter(|| pc.group_by_key().unwrap().count().unwrap())
-    });
     group.finish();
 }
 

@@ -2,7 +2,6 @@ use crate::synthetic::StandardNormalish;
 use crate::{ClusteredDataset, DataError};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use submod_knn::Embeddings;
 
 /// A simulated *coarsely-trained* classifier.
@@ -142,34 +141,30 @@ impl CoarseClassifier {
     /// Margin uncertainty `u(x) = 1 − (P(top|x) − P(second|x))` for every
     /// row of `embeddings` (Scheffer et al., as used in §6).
     pub fn margin_utilities(&self, embeddings: &Embeddings) -> Vec<f32> {
-        (0..embeddings.len())
-            .into_par_iter()
-            .map(|i| {
-                let (top, second) = self.top2(embeddings.row(i));
-                1.0 - (top - second)
-            })
-            .collect()
+        submod_exec::parallel_map((0..embeddings.len()).collect(), |i| {
+            let (top, second) = self.top2(embeddings.row(i));
+            1.0 - (top - second)
+        })
     }
 
     /// Fraction of points whose predicted class matches the label —
     /// deliberately mediocre for a *coarse* model.
     pub fn accuracy(&self, data: &ClusteredDataset) -> f64 {
-        let correct: usize = (0..data.len())
-            .into_par_iter()
-            .map(|i| {
-                let probs = self.predict_proba(data.embeddings().row(i));
-                assert!(probs.iter().all(|p| !p.is_nan()), "class probabilities must not be NaN");
-                // Total order plus reversed index tie-break: equal
-                // probabilities predict the smallest class id.
-                let pred = probs
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(&a.0)))
-                    .map(|(c, _)| c as u32)
-                    .unwrap_or(0);
-                usize::from(pred == data.labels()[i])
-            })
-            .sum();
+        let correct: usize = submod_exec::parallel_map((0..data.len()).collect(), |i| {
+            let probs = self.predict_proba(data.embeddings().row(i));
+            assert!(probs.iter().all(|p| !p.is_nan()), "class probabilities must not be NaN");
+            // Total order plus reversed index tie-break: equal
+            // probabilities predict the smallest class id.
+            let pred = probs
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(&a.0)))
+                .map(|(c, _)| c as u32)
+                .unwrap_or(0);
+            usize::from(pred == data.labels()[i])
+        })
+        .into_iter()
+        .sum();
         correct as f64 / data.len() as f64
     }
 }

@@ -8,8 +8,13 @@
 //! reproduction substitutes it (documented in DESIGN.md).
 
 use crate::DataError;
-use rayon::prelude::*;
 use submod_knn::Embeddings;
+
+/// Row splits of the covariance-vector product. A constant rather than
+/// the pool size, so the grouping of the floating-point partial sums —
+/// and therefore every bit of the projection — is the same at any thread
+/// count.
+const FOLD_SPLITS: usize = 16;
 
 /// Projects embeddings onto their top two principal components via power
 /// iteration with deflation.
@@ -38,37 +43,37 @@ pub fn pca_2d(embeddings: &Embeddings) -> Result<Vec<(f32, f32)>, DataError> {
         *m /= n as f64;
     }
 
+    // Contiguous row ranges, one partial sum each, merged in range order.
+    let rows_per_split = n.div_ceil(n.min(FOLD_SPLITS));
+    let splits: Vec<(usize, usize)> =
+        (0..n).step_by(rows_per_split).map(|lo| (lo, (lo + rows_per_split).min(n))).collect();
+
     let component = |deflate: Option<&[f64]>, start_phase: f64| -> Vec<f64> {
         // Deterministic pseudo-random start vector.
         let mut v: Vec<f64> = (0..d).map(|j| ((j as f64 + start_phase) * 12.9898).sin()).collect();
         normalize(&mut v);
         for _ in 0..60 {
             // w = Cov · v, computed as Σ (x−μ)((x−μ)·v) / n without forming Cov.
-            let w: Vec<f64> = embeddings
-                .as_flat()
-                .par_chunks(d)
-                .fold(
-                    || vec![0.0f64; d],
-                    |mut acc, row| {
-                        let mut proj = 0.0f64;
-                        for j in 0..d {
-                            proj += (f64::from(row[j]) - mean[j]) * v[j];
-                        }
-                        for j in 0..d {
-                            acc[j] += (f64::from(row[j]) - mean[j]) * proj;
-                        }
-                        acc
-                    },
-                )
-                .reduce(
-                    || vec![0.0f64; d],
-                    |mut a, b| {
-                        for j in 0..d {
-                            a[j] += b[j];
-                        }
-                        a
-                    },
-                );
+            let partials = submod_exec::parallel_map(splits.clone(), |(lo, hi)| {
+                let mut acc = vec![0.0f64; d];
+                for i in lo..hi {
+                    let row = embeddings.row(i);
+                    let mut proj = 0.0f64;
+                    for j in 0..d {
+                        proj += (f64::from(row[j]) - mean[j]) * v[j];
+                    }
+                    for j in 0..d {
+                        acc[j] += (f64::from(row[j]) - mean[j]) * proj;
+                    }
+                }
+                acc
+            });
+            let w = partials.into_iter().fold(vec![0.0f64; d], |mut a, b| {
+                for j in 0..d {
+                    a[j] += b[j];
+                }
+                a
+            });
             let mut w: Vec<f64> = w.into_iter().map(|x| x / n as f64).collect();
             if let Some(first) = deflate {
                 let dot: f64 = w.iter().zip(first).map(|(a, b)| a * b).sum();
@@ -246,6 +251,22 @@ mod tests {
     fn pca_is_deterministic() {
         let data = ClusteredDataset::generate(3, 30, 8, 0.2, 1).unwrap();
         assert_eq!(pca_2d(data.embeddings()).unwrap(), pca_2d(data.embeddings()).unwrap());
+    }
+
+    #[test]
+    fn pca_is_bitwise_stable_across_thread_counts() {
+        // 111 rows: more rows than splits, and not a multiple of them.
+        let data = ClusteredDataset::generate(3, 37, 8, 0.2, 5).unwrap();
+        let bits = |threads: usize| -> Vec<(u32, u32)> {
+            submod_exec::with_threads(threads, || pca_2d(data.embeddings()).unwrap())
+                .into_iter()
+                .map(|(x, y)| (x.to_bits(), y.to_bits()))
+                .collect()
+        };
+        let reference = bits(1);
+        for threads in [2, 8] {
+            assert_eq!(bits(threads), reference, "thread count {threads}");
+        }
     }
 
     #[test]

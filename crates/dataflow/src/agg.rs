@@ -5,7 +5,7 @@
 use crate::codec::Record;
 use crate::pipeline::{Shard, ShardSink};
 use crate::{DataflowError, PCollection};
-use rayon::prelude::*;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::hash::Hash;
 use std::sync::Arc;
@@ -26,22 +26,18 @@ impl<T: Record> PCollection<T> {
         F: Fn(Acc, T) -> Acc + Send + Sync,
         M: Fn(Acc, Acc) -> Acc + Send + Sync,
     {
-        let partials: Vec<Acc> = self
-            .ready_shards()?
-            .par_iter()
-            .map(|shard| {
-                let mut acc = init.clone();
-                // Manual fold because `for_each` borrows mutably.
-                let mut slot = Some(acc);
-                shard.for_each(|record| {
-                    let cur = slot.take().expect("accumulator present");
-                    slot = Some(fold(cur, record));
-                    Ok(())
-                })?;
-                acc = slot.expect("accumulator present");
-                Ok(acc)
-            })
-            .collect::<Result<_, DataflowError>>()?;
+        let partials: Vec<Acc> = submod_exec::parallel_map_result(self.ready_shards()?, |shard| {
+            let mut acc = init.clone();
+            // Manual fold because `for_each` borrows mutably.
+            let mut slot = Some(acc);
+            shard.for_each(|record| {
+                let cur = slot.take().expect("accumulator present");
+                slot = Some(fold(cur, record));
+                Ok(())
+            })?;
+            acc = slot.expect("accumulator present");
+            Ok::<_, DataflowError>(acc)
+        })?;
         Ok(partials.into_iter().fold(init, merge))
     }
 }
@@ -268,22 +264,25 @@ where
         let _span = submod_obs::span("dataflow.aggregate_per_key");
         let ctx = self.ctx().clone();
         // --- Map side: per-shard combiner tables, flushed on budget. ---
-        let partial_groups: Vec<Vec<Shard<(K, Acc)>>> = self
-            .ready_shards()?
-            .par_iter()
-            .map(|shard| {
+        let partial_groups: Vec<Vec<Shard<(K, Acc)>>> =
+            submod_exec::parallel_map_result(self.ready_shards()?, |shard| {
                 let mut sink = ShardSink::new(&ctx);
                 let mut table: BTreeMap<K, Acc> = BTreeMap::new();
                 let mut table_bytes = 0u64;
                 shard.for_each(|(k, v)| {
-                    let (old_bytes, acc) = match table.remove(&k) {
-                        Some(acc) => ((k.approx_bytes() + acc.approx_bytes()) as u64, acc),
-                        None => (0, init.clone()),
+                    let key_bytes = k.approx_bytes() as u64;
+                    // One lookup per record: a present key folds in place
+                    // instead of being removed and re-inserted.
+                    let (old_bytes, acc) = match table.entry(k) {
+                        Entry::Occupied(slot) => {
+                            let acc = slot.into_mut();
+                            let old_bytes = key_bytes + acc.approx_bytes() as u64;
+                            *acc = fold(std::mem::replace(acc, init.clone()), v);
+                            (old_bytes, acc)
+                        }
+                        Entry::Vacant(slot) => (0, slot.insert(fold(init.clone(), v))),
                     };
-                    let acc = fold(acc, v);
-                    let new_bytes = (k.approx_bytes() + acc.approx_bytes()) as u64;
-                    table_bytes = table_bytes - old_bytes + new_bytes;
-                    table.insert(k, acc);
+                    table_bytes = table_bytes - old_bytes + key_bytes + acc.approx_bytes() as u64;
                     // Peak tracking happens at the flush sites (and the
                     // shard tail below) where the table is at its
                     // largest, not per record on a shared atomic.
@@ -302,8 +301,7 @@ where
                     sink.push(entry)?;
                 }
                 sink.finish()
-            })
-            .collect::<Result<_, _>>()?;
+            })?;
         let partials = PCollection::from_parts(ctx, partial_groups.into_iter().flatten().collect());
 
         // --- Reduce side: merge the partials of each key in the

@@ -33,7 +33,8 @@
 //!   prove the budget held.
 //!
 //! Workers execute on the workspace's work-stealing pool
-//! (`submod_exec`, reached through the vendored `rayon` facade): shard
+//! (`submod_exec`, called directly through its order-preserving
+//! `parallel_map`): shard
 //! transforms, the map and reduce sides of the shuffle, and spill/codec
 //! work all run concurrently, while all data movement stays mediated by
 //! the [`Record`] codec exactly as it would be across machines. Shuffle
@@ -68,7 +69,6 @@
 mod agg;
 mod codec;
 mod error;
-mod lz;
 mod memory;
 mod pcollection;
 mod pipeline;
@@ -82,6 +82,6 @@ pub use codec::{ColKind, Column, Either2, Either3, FixedWidth, Record};
 pub use error::DataflowError;
 pub use memory::{MemoryBudget, PipelineMetrics};
 pub use pcollection::PCollection;
-pub use pipeline::{set_fusion_default, set_spill_compression_default, Pipeline, PipelineBuilder};
+pub use pipeline::{Pipeline, PipelineBuilder};
 pub use sample::{mix_seed_key, sample_coin, splitmix64};
 pub use side::{BroadcastSet, SideInput};

@@ -69,7 +69,6 @@ pub(crate) struct MetricsInner {
     pub records_processed: AtomicU64,
     pub records_shuffled: AtomicU64,
     pub bytes_spilled: AtomicU64,
-    pub bytes_spilled_disk: AtomicU64,
     pub spill_files: AtomicU64,
     pub stages_fused: AtomicU64,
     pub peak_worker_bytes: AtomicU64,
@@ -79,16 +78,14 @@ pub(crate) struct MetricsInner {
 }
 
 impl MetricsInner {
-    /// Records one spill file: `raw` logical payload bytes (budget
-    /// semantics) and `disk` bytes actually written (post-compression).
-    pub fn record_spill(&self, raw: u64, disk: u64) {
-        self.bytes_spilled.fetch_add(raw, Ordering::Relaxed);
-        self.bytes_spilled_disk.fetch_add(disk, Ordering::Relaxed);
+    /// Records one spill file of `bytes` payload bytes, exactly what it
+    /// occupies on disk.
+    pub fn record_spill(&self, bytes: u64) {
+        self.bytes_spilled.fetch_add(bytes, Ordering::Relaxed);
         self.spill_files.fetch_add(1, Ordering::Relaxed);
-        submod_obs::counter!("dataflow.spill.bytes_raw").add(raw);
-        submod_obs::counter!("dataflow.spill.bytes_written").add(disk);
+        submod_obs::counter!("dataflow.spill.bytes_written").add(bytes);
         submod_obs::counter!("dataflow.spill.files").incr();
-        submod_obs::histogram!("dataflow.spill.file_bytes").record(raw);
+        submod_obs::histogram!("dataflow.spill.file_bytes").record(bytes);
     }
 
     /// Records the execution of one fused operator stage of `ops`
@@ -137,7 +134,6 @@ impl MetricsInner {
             records_processed: self.records_processed.load(Ordering::Relaxed),
             records_shuffled: self.records_shuffled.load(Ordering::Relaxed),
             bytes_spilled: self.bytes_spilled.load(Ordering::Relaxed),
-            bytes_spilled_disk: self.bytes_spilled_disk.load(Ordering::Relaxed),
             spill_files: self.spill_files.load(Ordering::Relaxed),
             stages_fused: self.stages_fused.load(Ordering::Relaxed),
             peak_worker_bytes: self.peak_worker_bytes.load(Ordering::Relaxed),
@@ -159,10 +155,8 @@ pub struct PipelineMetrics {
     pub records_processed: u64,
     /// Records moved through a shuffle (group / co-group).
     pub records_shuffled: u64,
-    /// Total logical (pre-compression) bytes routed through spill files.
+    /// Total bytes written to spill files.
     pub bytes_spilled: u64,
-    /// Bytes spill files actually occupy on disk (post-compression).
-    pub bytes_spilled_disk: u64,
     /// Number of spill files created.
     pub spill_files: u64,
     /// Number of fused operator stages executed (see
@@ -201,15 +195,14 @@ mod tests {
     #[test]
     fn metrics_accumulate() {
         let inner = MetricsInner::default();
-        inner.record_spill(100, 40);
-        inner.record_spill(50, 50);
+        inner.record_spill(100);
+        inner.record_spill(50);
         inner.observe_worker_bytes(10);
         inner.observe_worker_bytes(500);
         inner.observe_worker_bytes(20);
         inner.record_fused_stage(3);
         let snap = inner.snapshot();
         assert_eq!(snap.bytes_spilled, 150);
-        assert_eq!(snap.bytes_spilled_disk, 90);
         assert_eq!(snap.spill_files, 2);
         assert_eq!(snap.peak_worker_bytes, 500);
         assert_eq!(snap.stages_fused, 1);

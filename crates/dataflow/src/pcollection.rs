@@ -3,7 +3,6 @@
 use crate::codec::Record;
 use crate::pipeline::{Ctx, Shard, ShardSink};
 use crate::DataflowError;
-use rayon::prelude::*;
 use std::sync::{Arc, Mutex};
 
 /// The emit callback a fused pass pushes records into.
@@ -107,13 +106,11 @@ pub(crate) enum Segment<T: Record> {
 /// *"A PCollection represents an immutable, conceptually infinitely-sized
 /// set of elements. The set does not need to fit into DRAM."*).
 ///
-/// Collections are cheap to clone (shards are shared). With fusion on
-/// (the default; see `SUBMOD_FUSION` and
-/// [`crate::PipelineBuilder::fusion`]), chained per-shard transforms
-/// defer into a single pass per shard executed at the next barrier, so
-/// records cross the codec/spill boundary once per *stage* instead of
-/// once per *operator*. Any worker whose output buffer would exceed the
-/// pipeline's [`crate::MemoryBudget`] spills it to disk.
+/// Collections are cheap to clone (shards are shared). Chained per-shard
+/// transforms defer into a single pass per shard executed at the next
+/// barrier, so records cross the codec/spill boundary once per *stage*
+/// instead of once per *operator*. Any worker whose output buffer would
+/// exceed the pipeline's [`crate::MemoryBudget`] spills it to disk.
 ///
 /// ```
 /// use submod_dataflow::Pipeline;
@@ -162,14 +159,13 @@ impl<T: Record> PCollection<T> {
                 })
                 .collect());
         }
-        let groups: Vec<Vec<Shard<T>>> = self
-            .segments
-            .par_iter()
-            .map(|segment| match segment {
+        let groups: Vec<Vec<Shard<T>>> = submod_exec::parallel_map_result(
+            self.segments.iter().collect(),
+            |segment| match segment {
                 Segment::Ready(shard) => Ok(vec![shard.clone()]),
                 Segment::Fused(unit) => unit.execute(),
-            })
-            .collect::<Result<_, _>>()?;
+            },
+        )?;
         Ok(groups.into_iter().flatten().collect())
     }
 
@@ -217,10 +213,10 @@ impl<T: Record> PCollection<T> {
         Ok(out)
     }
 
-    /// Applies `f` to every record, producing a new collection. With
-    /// fusion on, the work defers into the shard's operator chain; the
-    /// closure must therefore own its captures (`'static`) — use
-    /// [`PCollection::map_eager`] for borrow-capturing closures.
+    /// Applies `f` to every record, producing a new collection. The work
+    /// defers into the shard's operator chain; the closure must therefore
+    /// own its captures (`'static`) — use [`PCollection::map_eager`] for
+    /// borrow-capturing closures.
     ///
     /// # Errors
     ///
@@ -230,9 +226,6 @@ impl<T: Record> PCollection<T> {
         U: Record,
         F: Fn(T) -> U + Send + Sync + 'static,
     {
-        if !self.ctx.fusion {
-            return self.map_eager(f);
-        }
         Ok(self.compose(move |record, emit: Emit<'_, U>| emit(f(record))))
     }
 
@@ -261,15 +254,6 @@ impl<T: Record> PCollection<T> {
     where
         F: Fn(&T) -> bool + Send + Sync + 'static,
     {
-        if !self.ctx.fusion {
-            return self.transform_shards("filter", |record, sink| {
-                if predicate(&record) {
-                    sink.push(record)
-                } else {
-                    Ok(())
-                }
-            });
-        }
         Ok(self.compose(
             move |record, emit: Emit<'_, T>| {
                 if predicate(&record) {
@@ -294,14 +278,6 @@ impl<T: Record> PCollection<T> {
         I: IntoIterator<Item = U>,
         F: Fn(T) -> I + Send + Sync + 'static,
     {
-        if !self.ctx.fusion {
-            return self.transform_shards("flat_map", |record, sink| {
-                for out in f(record) {
-                    sink.push(out)?;
-                }
-                Ok(())
-            });
-        }
         Ok(self.compose(move |record, emit: Emit<'_, U>| {
             for out in f(record) {
                 emit(out)?;
@@ -432,26 +408,22 @@ impl<T: Record> PCollection<T> {
     {
         let _span = submod_obs::span_full(match op {
             "map" => "dataflow.map",
-            "filter" => "dataflow.filter",
             _ => "dataflow.flat_map",
         });
         let op_records = submod_obs::counter(&format!("dataflow.op.{op}.records"));
         let ctx = &self.ctx;
         let shards = self.ready_shards()?;
-        let shard_groups: Vec<Vec<Shard<U>>> = shards
-            .par_iter()
-            .map(|shard| {
-                let mut sink = ShardSink::new(ctx);
-                let mut processed = 0u64;
-                shard.for_each(|record| {
-                    processed += 1;
-                    body(record, &mut sink)
-                })?;
-                ctx.metrics.record_processed(processed);
-                op_records.add(processed);
-                sink.finish()
-            })
-            .collect::<Result<_, _>>()?;
+        let shard_groups: Vec<Vec<Shard<U>>> = submod_exec::parallel_map_result(shards, |shard| {
+            let mut sink = ShardSink::new(ctx);
+            let mut processed = 0u64;
+            shard.for_each(|record| {
+                processed += 1;
+                body(record, &mut sink)
+            })?;
+            ctx.metrics.record_processed(processed);
+            op_records.add(processed);
+            sink.finish()
+        })?;
         Ok(PCollection::from_parts(self.ctx.clone(), shard_groups.into_iter().flatten().collect()))
     }
 }
@@ -538,16 +510,16 @@ mod tests {
 
     #[test]
     fn records_processed_metric_accumulates_eagerly() {
-        let p = Pipeline::builder().workers(3).fusion(false).build().unwrap();
+        let p = pipeline();
         let pc = p.from_vec((0u64..50).collect());
-        pc.map(|x| x).unwrap();
-        pc.filter(|_| true).unwrap();
+        pc.map_eager(|x| x).unwrap();
+        pc.flat_map_eager(Some).unwrap();
         assert_eq!(p.metrics().records_processed, 100);
     }
 
     #[test]
     fn fused_chain_runs_once_per_shard_at_the_barrier() {
-        let p = Pipeline::builder().workers(3).fusion(true).build().unwrap();
+        let p = pipeline();
         let pc = p.from_vec((0u64..100).collect());
         let chained = pc.map(|x| x + 1).unwrap().filter(|x| x % 2 == 0).unwrap().map(|x| x * 10);
         let chained = chained.unwrap();
@@ -566,7 +538,7 @@ mod tests {
 
     #[test]
     fn fused_results_are_cached_across_barriers() {
-        let p = Pipeline::builder().workers(2).fusion(true).build().unwrap();
+        let p = Pipeline::new(2).unwrap();
         let pc = p.from_vec((0u64..40).collect());
         let mapped = pc.map(|x| x + 1).unwrap();
         assert_eq!(mapped.count().unwrap(), 40);
@@ -601,19 +573,27 @@ mod tests {
     }
 
     #[test]
-    fn fusion_on_and_off_agree() {
-        let build = |fusion: bool| {
-            let p = Pipeline::builder().workers(3).fusion(fusion).build().unwrap();
-            let pc = p.from_vec((0u64..500).collect());
-            pc.map(|x| x * 7)
-                .unwrap()
-                .filter(|x| x % 3 != 0)
-                .unwrap()
-                .flat_map(|x| vec![x, x + 1])
-                .unwrap()
-                .collect()
-                .unwrap()
-        };
-        assert_eq!(build(true), build(false));
+    fn fused_chain_agrees_with_eager_chain() {
+        let p = pipeline();
+        let pc = p.from_vec((0u64..500).collect());
+        let fused = pc
+            .map(|x| x * 7)
+            .unwrap()
+            .filter(|x| x % 3 != 0)
+            .unwrap()
+            .flat_map(|x| vec![x, x + 1])
+            .unwrap()
+            .collect()
+            .unwrap();
+        let eager = pc
+            .map_eager(|x| x * 7)
+            .unwrap()
+            .flat_map_eager(|x| (x % 3 != 0).then_some(x))
+            .unwrap()
+            .flat_map_eager(|x| vec![x, x + 1])
+            .unwrap()
+            .collect()
+            .unwrap();
+        assert_eq!(fused, eager);
     }
 }

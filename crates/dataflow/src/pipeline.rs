@@ -5,7 +5,6 @@ use crate::memory::{MemoryBudget, MetricsInner, PipelineMetrics};
 use crate::spill::{spill_columns, SpillFile, SpillReader, SpillStore, SpillWriter};
 use crate::{DataflowError, PCollection};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 /// Internal pipeline state shared by every [`PCollection`] derived from it.
@@ -15,76 +14,6 @@ pub(crate) struct Ctx {
     pub budget: MemoryBudget,
     pub metrics: MetricsInner,
     pub spill: SpillStore,
-    /// Operator fusion: chained map/filter/flat_map defer into one pass
-    /// per shard, executed at the next barrier.
-    pub fusion: bool,
-    /// LZ-compress spill files (budget semantics are unaffected — the
-    /// logical byte count still drives spill decisions and metrics).
-    pub spill_compress: bool,
-}
-
-// Tri-state process-wide defaults: 0 = unset (fall back to the
-// environment), 1 = off, 2 = on. Mutating the environment from Rust is
-// unsound with concurrent readers, so CLI flags set these instead.
-static FUSION_DEFAULT: AtomicU8 = AtomicU8::new(0);
-static SPILL_COMPRESS_DEFAULT: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the process-wide operator-fusion default, overriding the
-/// `SUBMOD_FUSION` environment variable (per-pipeline
-/// [`PipelineBuilder::fusion`] still wins). Lets CLI `--fusion off|on`
-/// flags A/B the optimization without env plumbing.
-pub fn set_fusion_default(on: bool) {
-    FUSION_DEFAULT.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
-
-/// Sets the process-wide spill-compression default, overriding the
-/// `SUBMOD_SPILL_COMPRESS` environment variable (per-pipeline
-/// [`PipelineBuilder::spill_compression`] still wins).
-pub fn set_spill_compression_default(on: bool) {
-    SPILL_COMPRESS_DEFAULT.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
-
-fn resolve_flag(
-    builder: Option<bool>,
-    global: &AtomicU8,
-    env_var: &str,
-    env_is_on: impl Fn(&str) -> bool,
-    default: bool,
-) -> bool {
-    if let Some(v) = builder {
-        return v;
-    }
-    match global.load(Ordering::Relaxed) {
-        1 => return false,
-        2 => return true,
-        _ => {}
-    }
-    match std::env::var(env_var) {
-        Ok(v) => env_is_on(&v.to_ascii_lowercase()),
-        Err(_) => default,
-    }
-}
-
-fn resolve_fusion(builder: Option<bool>) -> bool {
-    // SUBMOD_FUSION=off|0|false disables; anything else (or unset) is on.
-    resolve_flag(
-        builder,
-        &FUSION_DEFAULT,
-        "SUBMOD_FUSION",
-        |v| !matches!(v, "off" | "0" | "false"),
-        true,
-    )
-}
-
-fn resolve_spill_compress(builder: Option<bool>) -> bool {
-    // SUBMOD_SPILL_COMPRESS=lz (or on|1|true) enables; default off.
-    resolve_flag(
-        builder,
-        &SPILL_COMPRESS_DEFAULT,
-        "SUBMOD_SPILL_COMPRESS",
-        |v| matches!(v, "lz" | "on" | "1" | "true"),
-        false,
-    )
 }
 
 /// A Beam-style dataflow pipeline with `w` simulated workers, each holding
@@ -154,16 +83,6 @@ impl Pipeline {
         self.ctx.metrics.snapshot()
     }
 
-    /// Whether chained per-shard transforms fuse into single passes.
-    pub fn fusion_enabled(&self) -> bool {
-        self.ctx.fusion
-    }
-
-    /// Whether spill files are LZ-compressed on disk.
-    pub fn spill_compression_enabled(&self) -> bool {
-        self.ctx.spill_compress
-    }
-
     /// Creates a collection from an in-memory vector, splitting it into one
     /// shard per worker.
     pub fn from_vec<T: Record>(&self, data: Vec<T>) -> PCollection<T> {
@@ -197,23 +116,20 @@ impl Pipeline {
         T: Record,
         F: Fn(u64) -> T + Send + Sync,
     {
-        use rayon::prelude::*;
         let shard_count = (self.ctx.workers.max(1)) as u64;
         let per_shard = count.div_ceil(shard_count).max(1);
         let ranges: Vec<(u64, u64)> = (0..shard_count)
             .map(|s| (s * per_shard, ((s + 1) * per_shard).min(count)))
             .filter(|(lo, hi)| lo < hi)
             .collect();
-        let shard_groups: Vec<Vec<Shard<T>>> = ranges
-            .into_par_iter()
-            .map(|(lo, hi)| {
+        let shard_groups: Vec<Vec<Shard<T>>> =
+            submod_exec::parallel_map_result(ranges, |(lo, hi)| {
                 let mut sink = ShardSink::new(&self.ctx);
                 for i in lo..hi {
                     sink.push(generate(i))?;
                 }
                 sink.finish()
-            })
-            .collect::<Result<_, _>>()?;
+            })?;
         Ok(PCollection::from_parts(self.ctx.clone(), shard_groups.into_iter().flatten().collect()))
     }
 }
@@ -224,8 +140,6 @@ pub struct PipelineBuilder {
     workers: Option<usize>,
     budget: Option<MemoryBudget>,
     spill_dir: Option<PathBuf>,
-    fusion: Option<bool>,
-    spill_compression: Option<bool>,
 }
 
 impl PipelineBuilder {
@@ -245,22 +159,6 @@ impl PipelineBuilder {
     /// system temporary directory).
     pub fn spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spill_dir = Some(dir.into());
-        self
-    }
-
-    /// Forces operator fusion on or off for this pipeline, overriding the
-    /// process default ([`set_fusion_default`] / `SUBMOD_FUSION`, which
-    /// defaults to on).
-    pub fn fusion(mut self, on: bool) -> Self {
-        self.fusion = Some(on);
-        self
-    }
-
-    /// Forces spill-file LZ compression on or off for this pipeline,
-    /// overriding the process default ([`set_spill_compression_default`] /
-    /// `SUBMOD_SPILL_COMPRESS`, which defaults to off).
-    pub fn spill_compression(mut self, on: bool) -> Self {
-        self.spill_compression = Some(on);
         self
     }
 
@@ -285,8 +183,6 @@ impl PipelineBuilder {
                 budget: self.budget.unwrap_or_default(),
                 metrics: MetricsInner::default(),
                 spill,
-                fusion: resolve_fusion(self.fusion),
-                spill_compress: resolve_spill_compress(self.spill_compression),
             }),
         })
     }
@@ -362,19 +258,18 @@ impl<'a, T: Record> ShardSink<'a, T> {
         if self.buffer.is_empty() {
             return Ok(());
         }
-        let compress = self.ctx.spill_compress;
         // Fixed-width record types spill as raw column bytes; everything
         // else goes through per-record codec frames.
         let file = if let Some(kinds) = T::column_kinds() {
-            spill_columns(self.ctx.spill.fresh_path(), compress, &self.buffer, &kinds)?
+            spill_columns(self.ctx.spill.fresh_path(), &self.buffer, &kinds)?
         } else {
-            let mut writer = SpillWriter::create(self.ctx.spill.fresh_path(), compress)?;
+            let mut writer = SpillWriter::create(self.ctx.spill.fresh_path())?;
             for record in &self.buffer {
                 writer.write(record)?;
             }
             writer.finish()?
         };
-        self.ctx.metrics.record_spill(file.bytes, file.disk_bytes);
+        self.ctx.metrics.record_spill(file.bytes);
         self.shards.push(Shard::Spilled(file));
         self.buffer.clear();
         self.buffer_bytes = 0;

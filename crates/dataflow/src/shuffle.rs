@@ -16,7 +16,6 @@ use crate::codec::{Either2, Either3, Record};
 use crate::pipeline::{Shard, ShardSink};
 use crate::spill::{SpillFile, SpillReader, SpillWriter};
 use crate::{DataflowError, PCollection};
-use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::hash::Hash;
@@ -100,61 +99,50 @@ where
             (0..buckets).map(|_| Mutex::new(Vec::new())).collect();
 
         let shards = self.ready_shards()?;
-        (0..shards.len())
-            .into_par_iter()
-            .map(|shard_idx| {
-                let shard = &shards[shard_idx];
-                let mut buffers: Vec<Vec<(K, V)>> = (0..buckets).map(|_| Vec::new()).collect();
-                let mut buffer_bytes = vec![0u64; buckets];
-                let mut scratch = Vec::new();
-                let mut shuffled = 0u64;
-                let mut run_seq = 0u64;
-                shard.for_each(|(k, v)| {
-                    let b = (stable_hash(&k, &mut scratch) % buckets as u64) as usize;
-                    buffer_bytes[b] += (k.approx_bytes() + v.approx_bytes()) as u64;
-                    buffers[b].push((k, v));
-                    shuffled += 1;
-                    if buffer_bytes[b] > bucket_limit {
-                        let mut writer =
-                            SpillWriter::create(ctx.spill.fresh_path(), ctx.spill_compress)?;
-                        for record in &buffers[b] {
-                            writer.write(record)?;
-                        }
-                        let file = writer.finish()?;
-                        ctx.metrics.record_spill(file.bytes, file.disk_bytes);
-                        let run = Run { bytes: file.bytes, data: RunData::Disk(file) };
-                        bucket_runs[b]
-                            .lock()
-                            .expect("bucket mutex")
-                            .push((shard_idx, run_seq, run));
-                        run_seq += 1;
-                        buffers[b].clear();
-                        buffer_bytes[b] = 0;
+        submod_exec::parallel_map_result((0..shards.len()).collect(), |shard_idx| {
+            let shard = &shards[shard_idx];
+            let mut buffers: Vec<Vec<(K, V)>> = (0..buckets).map(|_| Vec::new()).collect();
+            let mut buffer_bytes = vec![0u64; buckets];
+            let mut scratch = Vec::new();
+            let mut shuffled = 0u64;
+            let mut run_seq = 0u64;
+            shard.for_each(|(k, v)| {
+                let b = (stable_hash(&k, &mut scratch) % buckets as u64) as usize;
+                buffer_bytes[b] += (k.approx_bytes() + v.approx_bytes()) as u64;
+                buffers[b].push((k, v));
+                shuffled += 1;
+                if buffer_bytes[b] > bucket_limit {
+                    let mut writer = SpillWriter::create(ctx.spill.fresh_path())?;
+                    for record in &buffers[b] {
+                        writer.write(record)?;
                     }
-                    Ok(())
-                })?;
-                ctx.metrics.record_shuffled(shuffled);
-                for (b, buf) in buffers.into_iter().enumerate() {
-                    if !buf.is_empty() {
-                        let bytes = buffer_bytes[b];
-                        ctx.metrics.observe_worker_bytes(bytes);
-                        let run = Run { bytes, data: RunData::Mem(buf) };
-                        bucket_runs[b]
-                            .lock()
-                            .expect("bucket mutex")
-                            .push((shard_idx, run_seq, run));
-                        run_seq += 1;
-                    }
+                    let file = writer.finish()?;
+                    ctx.metrics.record_spill(file.bytes);
+                    let run = Run { bytes: file.bytes, data: RunData::Disk(file) };
+                    bucket_runs[b].lock().expect("bucket mutex").push((shard_idx, run_seq, run));
+                    run_seq += 1;
+                    buffers[b].clear();
+                    buffer_bytes[b] = 0;
                 }
                 Ok(())
-            })
-            .collect::<Result<Vec<()>, DataflowError>>()?;
+            })?;
+            ctx.metrics.record_shuffled(shuffled);
+            for (b, buf) in buffers.into_iter().enumerate() {
+                if !buf.is_empty() {
+                    let bytes = buffer_bytes[b];
+                    ctx.metrics.observe_worker_bytes(bytes);
+                    let run = Run { bytes, data: RunData::Mem(buf) };
+                    bucket_runs[b].lock().expect("bucket mutex").push((shard_idx, run_seq, run));
+                    run_seq += 1;
+                }
+            }
+            Ok::<_, DataflowError>(())
+        })?;
 
         // --- Reduce side: group every bucket independently. ---
         #[allow(clippy::type_complexity)] // shard-of-groups is the natural shape here
-        let grouped_shards: Vec<Vec<Shard<(K, Vec<V>)>>> = bucket_runs
-            .into_par_iter()
-            .map(|runs| {
+        let grouped_shards: Vec<Vec<Shard<(K, Vec<V>)>>> =
+            submod_exec::parallel_map_result(bucket_runs, |runs| {
                 let mut tagged = runs.into_inner().expect("bucket mutex");
                 // Restore the deterministic sequential run order.
                 tagged.sort_by_key(|&(shard_idx, seq, _)| (shard_idx, seq));
@@ -168,8 +156,7 @@ where
                     group_bucket_external(runs, &ctx, &mut sink)?;
                 }
                 sink.finish()
-            })
-            .collect::<Result<_, _>>()?;
+            })?;
 
         Ok(PCollection::from_parts(ctx, grouped_shards.into_iter().flatten().collect()))
     }
@@ -294,12 +281,12 @@ where
     for run in runs {
         let mut records = run.into_records()?;
         records.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut writer = SpillWriter::create(ctx.spill.fresh_path(), ctx.spill_compress)?;
+        let mut writer = SpillWriter::create(ctx.spill.fresh_path())?;
         for record in &records {
             writer.write(record)?;
         }
         let file = writer.finish()?;
-        ctx.metrics.record_spill(file.bytes, file.disk_bytes);
+        ctx.metrics.record_spill(file.bytes);
         sorted_files.push(file);
     }
 

@@ -10,19 +10,14 @@
 //!   (`[u32 rows][column 0 bytes][column 1 bytes]…`), skipping the
 //!   per-record codec entirely.
 //!
-//! Beneath either format sits an optional LZ block layer (see
-//! [`crate::lz`]): the byte stream is chopped into 64 KiB blocks, each
-//! written as `[u32 raw_len][u32 comp_len][payload]` with the payload
-//! stored raw whenever compression does not shrink it. A [`SpillFile`]
-//! tracks both the *logical* byte count (`bytes`, what budget accounting
-//! and `bytes_spilled` report — compression never changes spill
-//! semantics) and the bytes that actually hit disk (`disk_bytes`).
+//! Both formats write their bytes to disk verbatim, so a [`SpillFile`]'s
+//! byte count is both what budget accounting and `bytes_spilled` report
+//! and what the file occupies.
 //!
 //! Spill files live in a per-pipeline temporary directory that is removed
 //! when the pipeline is dropped.
 
 use crate::codec::{ColKind, Column, Record};
-use crate::lz;
 use crate::DataflowError;
 use std::fs::{self, File};
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -115,152 +110,46 @@ impl Drop for SpillStore {
 pub(crate) struct SpillFile {
     pub path: PathBuf,
     pub count: usize,
-    /// Logical (pre-compression) payload bytes. Budget accounting and the
-    /// `bytes_spilled` metric use this, so turning compression on never
-    /// changes when or how much a pipeline spills.
+    /// Payload bytes, as written to disk.
     pub bytes: u64,
-    /// Bytes actually written to disk (post-compression, incl. framing).
-    pub disk_bytes: u64,
-    pub compressed: bool,
     pub columnar: bool,
 }
 
-/// The byte-stream layer beneath both spill formats: plain pass-through
-/// or LZ block frames.
-enum ByteSink {
-    Plain { writer: BufWriter<File>, disk: u64 },
-    Lz { writer: BufWriter<File>, pending: Vec<u8>, scratch: Vec<u8>, disk: u64 },
-}
-
-fn write_lz_block(
-    writer: &mut BufWriter<File>,
-    block: &[u8],
-    scratch: &mut Vec<u8>,
-) -> Result<u64, DataflowError> {
-    scratch.clear();
-    lz::compress_block(block, scratch);
-    // `comp_len == raw_len` is the stored-raw marker, so a compressed
-    // payload must be strictly smaller to be used.
-    let payload: &[u8] = if scratch.len() < block.len() { scratch } else { block };
-    writer
-        .write_all(&(block.len() as u32).to_le_bytes())
-        .and_then(|()| writer.write_all(&(payload.len() as u32).to_le_bytes()))
-        .and_then(|()| writer.write_all(payload))
-        .map_err(|e| DataflowError::io("writing lz spill block", e))?;
-    Ok(8 + payload.len() as u64)
-}
+/// The buffered byte stream beneath both spill formats, with every write
+/// behind the spill fault gate.
+struct ByteSink(BufWriter<File>);
 
 impl ByteSink {
-    fn create(path: &Path, compress: bool) -> Result<Self, DataflowError> {
+    fn create(path: &Path) -> Result<Self, DataflowError> {
         fault_gate(FaultSite::SpillOpen, "creating spill file")?;
         let file = File::create(path).map_err(|e| DataflowError::io("creating spill file", e))?;
-        let writer = BufWriter::new(file);
-        Ok(if compress {
-            ByteSink::Lz { writer, pending: Vec::new(), scratch: Vec::new(), disk: 0 }
-        } else {
-            ByteSink::Plain { writer, disk: 0 }
-        })
+        Ok(ByteSink(BufWriter::new(file)))
     }
 
     fn write_all(&mut self, bytes: &[u8]) -> Result<(), DataflowError> {
         fault_gate(FaultSite::SpillWrite, "writing spill bytes")?;
-        match self {
-            ByteSink::Plain { writer, disk } => {
-                writer.write_all(bytes).map_err(|e| DataflowError::io("writing spill bytes", e))?;
-                *disk += bytes.len() as u64;
-                Ok(())
-            }
-            ByteSink::Lz { writer, pending, scratch, disk } => {
-                pending.extend_from_slice(bytes);
-                while pending.len() >= lz::MAX_BLOCK {
-                    *disk += write_lz_block(writer, &pending[..lz::MAX_BLOCK], scratch)?;
-                    pending.drain(..lz::MAX_BLOCK);
-                }
-                Ok(())
-            }
-        }
+        self.0.write_all(bytes).map_err(|e| DataflowError::io("writing spill bytes", e))
     }
 
-    /// Flushes everything and returns the bytes written to disk.
-    fn finish(self) -> Result<u64, DataflowError> {
+    fn finish(mut self) -> Result<(), DataflowError> {
         fault_gate(FaultSite::SpillWrite, "flushing spill file")?;
-        match self {
-            ByteSink::Plain { mut writer, disk } => {
-                writer.flush().map_err(|e| DataflowError::io("flushing spill file", e))?;
-                Ok(disk)
-            }
-            ByteSink::Lz { mut writer, pending, mut scratch, mut disk } => {
-                if !pending.is_empty() {
-                    disk += write_lz_block(&mut writer, &pending, &mut scratch)?;
-                }
-                writer.flush().map_err(|e| DataflowError::io("flushing spill file", e))?;
-                Ok(disk)
-            }
-        }
+        self.0.flush().map_err(|e| DataflowError::io("flushing spill file", e))
     }
 }
 
 /// Reader counterpart of [`ByteSink`].
-enum ByteSource {
-    Plain(BufReader<File>),
-    Lz { reader: BufReader<File>, buf: Vec<u8>, pos: usize },
-}
+struct ByteSource(BufReader<File>);
 
 impl ByteSource {
-    fn open(path: &Path, compressed: bool) -> Result<Self, DataflowError> {
+    fn open(path: &Path) -> Result<Self, DataflowError> {
         fault_gate(FaultSite::SpillOpen, "opening spill file")?;
         let handle = File::open(path).map_err(|e| DataflowError::io("opening spill file", e))?;
-        let reader = BufReader::new(handle);
-        Ok(if compressed {
-            ByteSource::Lz { reader, buf: Vec::new(), pos: 0 }
-        } else {
-            ByteSource::Plain(reader)
-        })
+        Ok(ByteSource(BufReader::new(handle)))
     }
 
-    fn read_exact(&mut self, mut out: &mut [u8]) -> Result<(), DataflowError> {
+    fn read_exact(&mut self, out: &mut [u8]) -> Result<(), DataflowError> {
         fault_gate(FaultSite::SpillRead, "reading spill bytes")?;
-        match self {
-            ByteSource::Plain(reader) => {
-                reader.read_exact(out).map_err(|e| DataflowError::io("reading spill bytes", e))
-            }
-            ByteSource::Lz { reader, buf, pos } => {
-                while !out.is_empty() {
-                    if *pos == buf.len() {
-                        let mut header = [0u8; 8];
-                        reader
-                            .read_exact(&mut header)
-                            .map_err(|e| DataflowError::io("reading lz spill frame header", e))?;
-                        let raw_len =
-                            u32::from_le_bytes([header[0], header[1], header[2], header[3]])
-                                as usize;
-                        let comp_len =
-                            u32::from_le_bytes([header[4], header[5], header[6], header[7]])
-                                as usize;
-                        if raw_len > lz::MAX_BLOCK || comp_len > raw_len {
-                            return Err(DataflowError::codec(
-                                "invalid lz frame header in spill file",
-                            ));
-                        }
-                        let mut payload = vec![0u8; comp_len];
-                        reader
-                            .read_exact(&mut payload)
-                            .map_err(|e| DataflowError::io("reading lz spill frame body", e))?;
-                        *buf = if comp_len == raw_len {
-                            payload
-                        } else {
-                            lz::decompress_block(&payload, raw_len)?
-                        };
-                        *pos = 0;
-                    }
-                    let n = (buf.len() - *pos).min(out.len());
-                    out[..n].copy_from_slice(&buf[*pos..*pos + n]);
-                    *pos += n;
-                    out = &mut out[n..];
-                }
-                Ok(())
-            }
-        }
+        self.0.read_exact(out).map_err(|e| DataflowError::io("reading spill bytes", e))
     }
 }
 
@@ -274,25 +163,17 @@ pub(crate) struct SpillWriter {
     guard: PendingFileGuard,
     count: usize,
     bytes: u64,
-    compressed: bool,
     scratch: Vec<u8>,
 }
 
 impl SpillWriter {
-    pub fn create(path: PathBuf, compress: bool) -> Result<Self, DataflowError> {
+    pub fn create(path: PathBuf) -> Result<Self, DataflowError> {
         // The guard owns the path until `finish`: a writer dropped
         // mid-spill (error propagation, an injected panic) removes its
         // partial file instead of leaking it.
         let guard = PendingFileGuard::new(path);
-        let sink = ByteSink::create(guard.path(), compress)?;
-        Ok(SpillWriter {
-            sink,
-            guard,
-            count: 0,
-            bytes: 0,
-            compressed: compress,
-            scratch: Vec::new(),
-        })
+        let sink = ByteSink::create(guard.path())?;
+        Ok(SpillWriter { sink, guard, count: 0, bytes: 0, scratch: Vec::new() })
     }
 
     pub fn write<T: Record>(&mut self, record: &T) -> Result<(), DataflowError> {
@@ -309,13 +190,11 @@ impl SpillWriter {
     pub fn finish(self) -> Result<SpillFile, DataflowError> {
         // A failed flush drops `self.guard` still armed, removing the
         // unusable file.
-        let disk_bytes = self.sink.finish()?;
+        self.sink.finish()?;
         Ok(SpillFile {
             path: self.guard.disarm(),
             count: self.count,
             bytes: self.bytes,
-            disk_bytes,
-            compressed: self.compressed,
             columnar: false,
         })
     }
@@ -325,12 +204,11 @@ impl SpillWriter {
 /// in blocks of [`COLUMN_BLOCK_ROWS`] rows — no per-record codec frames.
 pub(crate) fn spill_columns<T: Record>(
     path: PathBuf,
-    compress: bool,
     records: &[T],
     kinds: &[ColKind],
 ) -> Result<SpillFile, DataflowError> {
     let guard = PendingFileGuard::new(path);
-    let mut sink = ByteSink::create(guard.path(), compress)?;
+    let mut sink = ByteSink::create(guard.path())?;
     let mut columns: Vec<Column> = kinds.iter().map(|&k| Column::new(k)).collect();
     let mut col_bytes = Vec::new();
     let mut bytes = 0u64;
@@ -350,15 +228,8 @@ pub(crate) fn spill_columns<T: Record>(
             bytes += col_bytes.len() as u64;
         }
     }
-    let disk_bytes = sink.finish()?;
-    Ok(SpillFile {
-        path: guard.disarm(),
-        count: records.len(),
-        bytes,
-        disk_bytes,
-        compressed: compress,
-        columnar: true,
-    })
+    sink.finish()?;
+    Ok(SpillFile { path: guard.disarm(), count: records.len(), bytes, columnar: true })
 }
 
 /// Format-specific reader state.
@@ -385,7 +256,7 @@ pub(crate) struct SpillReader<T: Record> {
 
 impl<T: Record> SpillReader<T> {
     pub fn open(file: &SpillFile) -> Result<Self, DataflowError> {
-        let source = ByteSource::open(&file.path, file.compressed)?;
+        let source = ByteSource::open(&file.path)?;
         // Codec read traffic: the whole file streams back through the
         // decoder, so the open (not each record) charges the counter with
         // the logical byte count.
@@ -470,14 +341,18 @@ mod tests {
     #[test]
     fn write_read_roundtrip() {
         let store = store();
-        let mut writer = SpillWriter::create(store.fresh_path(), false).unwrap();
+        let mut writer = SpillWriter::create(store.fresh_path()).unwrap();
         for i in 0..100u64 {
             writer.write(&(i, i as f32 * 0.5)).unwrap();
         }
         let file = writer.finish().unwrap();
         assert_eq!(file.count, 100);
         assert!(file.bytes > 0);
-        assert_eq!(file.disk_bytes, file.bytes, "uncompressed frames hit disk verbatim");
+        assert_eq!(
+            std::fs::metadata(&file.path).unwrap().len(),
+            file.bytes,
+            "frames hit disk verbatim"
+        );
         let records: Vec<(u64, f32)> = SpillReader::open(&file).unwrap().read_all().unwrap();
         assert_eq!(records.len(), 100);
         assert_eq!(records[7], (7, 3.5));
@@ -486,7 +361,7 @@ mod tests {
     #[test]
     fn streaming_read_stops_at_count() {
         let store = store();
-        let mut writer = SpillWriter::create(store.fresh_path(), false).unwrap();
+        let mut writer = SpillWriter::create(store.fresh_path()).unwrap();
         writer.write(&1u32).unwrap();
         writer.write(&2u32).unwrap();
         let file = writer.finish().unwrap();
@@ -500,7 +375,7 @@ mod tests {
     #[test]
     fn empty_file_roundtrip() {
         let store = store();
-        let writer = SpillWriter::create(store.fresh_path(), false).unwrap();
+        let writer = SpillWriter::create(store.fresh_path()).unwrap();
         let file = writer.finish().unwrap();
         assert_eq!(file.count, 0);
         let records: Vec<u64> = SpillReader::open(&file).unwrap().read_all().unwrap();
@@ -513,7 +388,7 @@ mod tests {
         {
             let store = store();
             dir = store.fresh_path().parent().unwrap().to_path_buf();
-            let mut writer = SpillWriter::create(store.fresh_path(), false).unwrap();
+            let mut writer = SpillWriter::create(store.fresh_path()).unwrap();
             writer.write(&1u8).unwrap();
             writer.finish().unwrap();
             assert!(dir.exists());
@@ -524,7 +399,7 @@ mod tests {
     #[test]
     fn variable_length_records_roundtrip() {
         let store = store();
-        let mut writer = SpillWriter::create(store.fresh_path(), false).unwrap();
+        let mut writer = SpillWriter::create(store.fresh_path()).unwrap();
         let values = vec![vec![1u64; 1], vec![2u64; 50], vec![], vec![3u64; 7]];
         for v in &values {
             writer.write(v).unwrap();
@@ -535,79 +410,19 @@ mod tests {
     }
 
     #[test]
-    fn compressed_frames_roundtrip_and_shrink() {
-        let store = store();
-        let mut writer = SpillWriter::create(store.fresh_path(), true).unwrap();
-        let records: Vec<(u64, u64)> = (0..20_000u64).map(|i| (i, i % 7)).collect();
-        for r in &records {
-            writer.write(r).unwrap();
-        }
-        let file = writer.finish().unwrap();
-        assert_eq!(file.count, records.len());
-        assert!(file.compressed);
-        assert!(
-            file.disk_bytes < file.bytes / 2,
-            "sequential frames must compress: {} disk vs {} raw",
-            file.disk_bytes,
-            file.bytes
-        );
-        let back: Vec<(u64, u64)> = SpillReader::open(&file).unwrap().read_all().unwrap();
-        assert_eq!(back, records);
-    }
-
-    #[test]
-    fn compressed_incompressible_data_bounded() {
-        let store = store();
-        let mut writer = SpillWriter::create(store.fresh_path(), true).unwrap();
-        let mut state = 0x1234_5678_9ABC_DEF0u64;
-        let records: Vec<u64> = (0..5000)
-            .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                state
-            })
-            .collect();
-        for r in &records {
-            writer.write(r).unwrap();
-        }
-        let file = writer.finish().unwrap();
-        // Stored-raw fallback bounds the expansion to block framing plus
-        // the literal-run overhead of blocks that compressed marginally.
-        assert!(file.disk_bytes <= file.bytes + file.bytes / 16 + 64);
-        let back: Vec<u64> = SpillReader::open(&file).unwrap().read_all().unwrap();
-        assert_eq!(back, records);
-    }
-
-    #[test]
     fn columnar_roundtrip_without_frames() {
         let store = store();
         let records: Vec<(u64, (u32, f64))> =
             (0..700u64).map(|i| (i, (i as u32 * 3, i as f64 * 0.25 - 10.0))).collect();
         let kinds = <(u64, (u32, f64))>::column_kinds().unwrap();
-        let file = spill_columns(store.fresh_path(), false, &records, &kinds).unwrap();
+        let file = spill_columns(store.fresh_path(), &records, &kinds).unwrap();
         assert!(file.columnar);
         assert_eq!(file.count, 700);
         // 700 rows → 3 blocks (256 + 256 + 188), 20 bytes/row + 4/block.
         let blocks = 700usize.div_ceil(COLUMN_BLOCK_ROWS) as u64;
         assert_eq!(file.bytes, blocks * 4 + 700 * 20);
-        assert_eq!(file.disk_bytes, file.bytes);
+        assert_eq!(std::fs::metadata(&file.path).unwrap().len(), file.bytes);
         let back: Vec<(u64, (u32, f64))> = SpillReader::open(&file).unwrap().read_all().unwrap();
-        assert_eq!(back, records);
-    }
-
-    #[test]
-    fn columnar_compressed_roundtrip() {
-        let store = store();
-        let records: Vec<(u64, f64)> = (0..10_000u64).map(|i| (i, (i % 10) as f64)).collect();
-        let kinds = <(u64, f64)>::column_kinds().unwrap();
-        let file = spill_columns(store.fresh_path(), true, &records, &kinds).unwrap();
-        assert!(file.columnar && file.compressed);
-        assert!(
-            file.disk_bytes < file.bytes / 2,
-            "sequential columns must compress: {} disk vs {} raw",
-            file.disk_bytes,
-            file.bytes
-        );
-        let back: Vec<(u64, f64)> = SpillReader::open(&file).unwrap().read_all().unwrap();
         assert_eq!(back, records);
     }
 
@@ -617,7 +432,7 @@ mod tests {
         let specials = [0.0f64, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::MIN_POSITIVE];
         let records: Vec<f64> = (0..600).map(|i| specials[i % specials.len()]).collect();
         let kinds = f64::column_kinds().unwrap();
-        let file = spill_columns(store.fresh_path(), false, &records, &kinds).unwrap();
+        let file = spill_columns(store.fresh_path(), &records, &kinds).unwrap();
         let mut reader: SpillReader<f64> = SpillReader::open(&file).unwrap();
         for expected in &records {
             let got = reader.next_record().unwrap().unwrap();
@@ -630,7 +445,7 @@ mod tests {
     fn empty_columnar_file() {
         let store = store();
         let kinds = u64::column_kinds().unwrap();
-        let file = spill_columns(store.fresh_path(), false, &[] as &[u64], &kinds).unwrap();
+        let file = spill_columns(store.fresh_path(), &[] as &[u64], &kinds).unwrap();
         assert_eq!(file.count, 0);
         assert_eq!(file.bytes, 0);
         let back: Vec<u64> = SpillReader::open(&file).unwrap().read_all().unwrap();

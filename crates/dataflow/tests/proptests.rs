@@ -25,6 +25,25 @@ fn apply_chain(source: &PCollection<u64>, ops: &[u32]) -> PCollection<u64> {
     current
 }
 
+/// [`apply_chain`] run operator by operator: every step materializes at
+/// once through `map_eager` / `flat_map_eager` (the filter as a
+/// `flat_map_eager` returning an `Option`), so nothing fuses.
+fn apply_eager_chain(source: &PCollection<u64>, ops: &[u32]) -> PCollection<u64> {
+    let mut current = source.clone();
+    for (i, &op) in ops.iter().enumerate() {
+        let salt = i as u64;
+        current = match op % 4 {
+            0 => current.map_eager(|x| x.wrapping_mul(0x9E37_79B9).rotate_left(7) ^ salt).unwrap(),
+            1 => current.flat_map_eager(|x| (x % 3 != salt % 3).then_some(x)).unwrap(),
+            2 => current
+                .flat_map_eager(|x| if x % 5 == 0 { vec![x, x ^ 0xABCD] } else { vec![x] })
+                .unwrap(),
+            _ => current.map_eager(|x| x ^ (0x5A5A + salt)).unwrap(),
+        };
+    }
+    current
+}
+
 /// Keys every value by its index, routed through a map so the rows land in
 /// budget-checked sinks (a raw `from_vec` shard is exempt from the budget).
 fn keyed(pipeline: &Pipeline, values: &[f64]) -> PCollection<(u64, f64)> {
@@ -436,26 +455,26 @@ proptest! {
     }
 
     /// Operator fusion is invisible: any random deferrable chain yields
-    /// bitwise identical collections with fusion on and off, under any
-    /// worker count and with or without a spilling budget.
+    /// bitwise identical collections fused and run operator by operator,
+    /// under any worker count and with or without a spilling budget.
     #[test]
-    fn fusion_on_and_off_agree_on_random_chains(
+    fn fused_and_eager_chains_agree_on_random_chains(
         data in proptest::collection::vec(any::<u64>(), 0..300),
         ops in proptest::collection::vec(0u32..4, 1..8),
         workers in 1usize..6,
         tiny_budget in any::<bool>(),
     ) {
-        let build = |fusion: bool| {
-            let mut b = Pipeline::builder().workers(workers).fusion(fusion);
+        let build = || {
+            let mut b = Pipeline::builder().workers(workers);
             if tiny_budget {
                 b = b.memory_budget(MemoryBudget::bytes(256));
             }
             b.build().unwrap()
         };
-        let fused_pipeline = build(true);
-        let eager_pipeline = build(false);
+        let fused_pipeline = build();
+        let eager_pipeline = build();
         let fused = apply_chain(&fused_pipeline.from_vec(data.clone()), &ops);
-        let eager = apply_chain(&eager_pipeline.from_vec(data.clone()), &ops);
+        let eager = apply_eager_chain(&eager_pipeline.from_vec(data.clone()), &ops);
         prop_assert_eq!(fused.collect().unwrap(), eager.collect().unwrap());
         if !data.is_empty() {
             prop_assert!(fused_pipeline.metrics().stages_fused > 0, "chain did not fuse");
@@ -473,9 +492,9 @@ proptest! {
         workers in 1usize..5,
     ) {
         let mut grouped_runs = Vec::new();
-        for fusion in [true, false] {
-            let pipeline = Pipeline::builder().workers(workers).fusion(fusion).build().unwrap();
-            let chained = apply_chain(&pipeline.from_vec(data.clone()), &ops);
+        for chain in [apply_chain, apply_eager_chain] {
+            let pipeline = Pipeline::new(workers).unwrap();
+            let chained = chain(&pipeline.from_vec(data.clone()), &ops);
             let mut groups = chained
                 .map(|x| (x % 8, x))
                 .unwrap()

@@ -3,9 +3,9 @@
 //! A dependency-free work-stealing thread pool built on `std::thread`,
 //! powering every "worker" in the reproduction: the dataflow engine's
 //! shard transforms and shuffles, the k-NN graph build, and the
-//! per-machine rounds of the distributed greedy algorithms. The vendored
-//! `rayon` shim delegates its `par_iter` / `join` / `scope` surface here,
-//! so crates written against the rayon API run on this pool unchanged.
+//! per-machine rounds of the distributed greedy algorithms. Every crate
+//! calls [`parallel_map`] / [`parallel_map_result`] (or [`join`] /
+//! [`scope`]) directly; there is no iterator facade in between.
 //!
 //! ## Execution model
 //!

@@ -670,6 +670,10 @@ pub fn replay(path: &Path) -> Result<Replay, JournalError> {
 /// Replays `path`, truncates any torn tail in place, and reopens the
 /// journal for appending — the resume entry point.
 ///
+/// A journal is never memory-mapped, so torn-tail truncation cannot
+/// SIGBUS a reader: [`replay`] reads the file into a buffer, and this
+/// crate does not depend on `submod_mman`.
+///
 /// # Errors
 ///
 /// Everything [`replay`] returns, plus I/O failures truncating or

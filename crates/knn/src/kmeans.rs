@@ -1,7 +1,6 @@
 use crate::{Embeddings, KnnError};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// A fitted k-means model: centroids plus per-point assignments.
 ///
@@ -184,10 +183,9 @@ pub fn kmeans(
         iterations_run += 1;
         // Assignment step (parallel): each point scans the centroid
         // matrix blockwise, four centroids per micro-kernel pass.
-        let new_assignments: Vec<(u32, f32)> = (0..n)
-            .into_par_iter()
-            .map(|i| submod_kernels::l2_argmin(data.row(i), &centroids))
-            .collect();
+        let new_assignments: Vec<(u32, f32)> = submod_exec::parallel_map((0..n).collect(), |i| {
+            submod_kernels::l2_argmin(data.row(i), &centroids)
+        });
         assert!(
             new_assignments.iter().all(|&(_, d)| !d.is_nan()),
             "assignment distances must not be NaN"
