@@ -46,7 +46,7 @@ fn bench_partitions_and_rounds(c: &mut Criterion) {
 }
 
 /// Same-runner executor comparison at 2k points: the in-memory driver vs
-/// the dataflow driver in lockstep and with multi-winner batched passes.
+/// the dataflow driver (batched certified passes at the default batch).
 /// `bench-diff --dataflow-ratio` gates the dataflow/in_memory ratios of
 /// this group (and of `bounding_executor_2k`) against the checked-in
 /// baseline.
@@ -64,14 +64,6 @@ fn bench_greedy_executor(c: &mut Criterion) {
         let pipeline = Pipeline::new(4).unwrap();
         b.iter(|| {
             distributed_greedy_dataflow(&pipeline, &graph, &objective, &ground, k, &config).unwrap()
-        })
-    });
-    group.bench_function("dataflow_batched", |b| {
-        let pipeline = Pipeline::new(4).unwrap();
-        let batched = config.clone().winner_batch(64);
-        b.iter(|| {
-            distributed_greedy_dataflow(&pipeline, &graph, &objective, &ground, k, &batched)
-                .unwrap()
         })
     });
     group.finish();

@@ -168,11 +168,8 @@ fn journal_overhead_gate(entries: &BTreeMap<String, Entry>, tolerance: f64) -> O
 
 /// The same-runner executor pairs whose dataflow/in_memory ratio the
 /// `--dataflow-ratio` gate tracks.
-const RATIO_PAIRS: [(&str, &str); 3] = [
-    ("bounding_executor_2k", "dataflow_4workers"),
-    ("greedy_executor_2k", "dataflow"),
-    ("greedy_executor_2k", "dataflow_batched"),
-];
+const RATIO_PAIRS: [(&str, &str); 2] =
+    [("bounding_executor_2k", "dataflow_4workers"), ("greedy_executor_2k", "dataflow")];
 
 /// Computes the dataflow/in_memory mean-time ratio for every tracked
 /// pair. Returns `None` (exit 2) when any entry is missing.
@@ -507,45 +504,43 @@ mod tests {
         pairs.iter().map(|&(key, mean_ns)| (key.to_string(), Entry { mean_ns })).collect()
     }
 
-    fn full_executor_entries(bounding: f64, greedy: f64, batched: f64) -> BTreeMap<String, Entry> {
+    fn full_executor_entries(bounding: f64, greedy: f64) -> BTreeMap<String, Entry> {
         executor_entries(&[
             ("bounding_executor_2k/in_memory", 1000.0),
             ("bounding_executor_2k/dataflow_4workers", 1000.0 * bounding),
             ("greedy_executor_2k/in_memory", 2000.0),
             ("greedy_executor_2k/dataflow", 2000.0 * greedy),
-            ("greedy_executor_2k/dataflow_batched", 2000.0 * batched),
         ])
     }
 
     #[test]
     fn dataflow_ratios_are_same_runner_quotients() {
-        let ratios = dataflow_ratios(&full_executor_entries(2.5, 3.0, 1.5)).unwrap();
-        assert_eq!(ratios.len(), 3);
+        let ratios = dataflow_ratios(&full_executor_entries(2.5, 3.0)).unwrap();
+        assert_eq!(ratios.len(), 2);
         assert!((ratios[0].1 - 2.5).abs() < 1e-12, "bounding ratio {}", ratios[0].1);
         assert!((ratios[1].1 - 3.0).abs() < 1e-12);
-        assert!((ratios[2].1 - 1.5).abs() < 1e-12);
     }
 
     #[test]
     fn dataflow_ratio_gate_passes_within_tolerance() {
-        let baseline = full_executor_entries(2.5, 3.0, 1.5);
+        let baseline = full_executor_entries(2.5, 3.0);
         // Raw times may shift runner to runner; only the ratios count.
-        let current = full_executor_entries(2.6, 3.3, 1.6);
+        let current = full_executor_entries(2.6, 3.3);
         assert_eq!(dataflow_ratio_gate(&baseline, &current, 0.20), Some(true));
     }
 
     #[test]
     fn dataflow_ratio_gate_fails_on_ratio_regression() {
-        let baseline = full_executor_entries(2.5, 3.0, 1.5);
-        let current = full_executor_entries(2.5, 3.0, 2.2);
+        let baseline = full_executor_entries(2.5, 3.0);
+        let current = full_executor_entries(2.5, 4.4);
         assert_eq!(dataflow_ratio_gate(&baseline, &current, 0.20), Some(false));
     }
 
     #[test]
     fn dataflow_ratio_gate_requires_all_current_entries() {
-        let baseline = full_executor_entries(2.5, 3.0, 1.5);
-        let mut current = full_executor_entries(2.5, 3.0, 1.5);
-        current.remove("greedy_executor_2k/dataflow_batched");
+        let baseline = full_executor_entries(2.5, 3.0);
+        let mut current = full_executor_entries(2.5, 3.0);
+        current.remove("greedy_executor_2k/dataflow");
         assert_eq!(dataflow_ratio_gate(&baseline, &current, 0.20), None);
         assert_eq!(dataflow_ratios(&BTreeMap::new()), None);
     }
@@ -554,11 +549,10 @@ mod tests {
     fn dataflow_ratio_gate_passes_pairs_missing_from_the_baseline() {
         // The previous commit may predate a bench group; new pairs are
         // reported but never gated.
-        let mut baseline = full_executor_entries(2.5, 3.0, 1.5);
+        let mut baseline = full_executor_entries(2.5, 3.0);
         baseline.remove("greedy_executor_2k/in_memory");
         baseline.remove("greedy_executor_2k/dataflow");
-        baseline.remove("greedy_executor_2k/dataflow_batched");
-        let current = full_executor_entries(2.5, 9.0, 9.0);
+        let current = full_executor_entries(2.5, 9.0);
         assert_eq!(dataflow_ratio_gate(&baseline, &current, 0.20), Some(true));
     }
 

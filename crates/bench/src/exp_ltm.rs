@@ -291,7 +291,7 @@ fn bounding_sweep(
 /// The greedy half of the sweep: the engine-resident multi-round driver
 /// under shrinking budgets, identical to the in-memory reference at
 /// every budget, with the `greedy.*` registry gauges proving the driver
-/// only ever collected winner rows.
+/// only ever collected the rows ≥ τ of its engine passes.
 fn greedy_sweep(
     ctx: &BenchCtx,
     instance: &submod_data::SelectionInstance,
@@ -370,7 +370,7 @@ fn greedy_sweep(
             gauge(&reference_snap, "greedy.peak_state_bytes")
         );
         print_table(
-            "engine-resident greedy driver memory: per-round collections are winner rows only",
+            "engine-resident greedy driver memory: per-round collections are rows ≥ τ only",
             &["budget/worker", "peak round", "winners", "driver state", "broadcast"],
             &memory_rows,
         );

@@ -87,14 +87,6 @@ pub fn profile(ctx: &BenchCtx) {
             .map(drop)
             .expect("dataflow greedy");
     });
-    // Same instance, same selection (the differential suite pins
-    // bit-identity), but up to 64 certified pops per engine pass.
-    let batched = greedy.clone().winner_batch(64);
-    run_phase(&mut phases, "greedy (dataflow driver, winner_batch 64)", || {
-        distributed_greedy_dataflow(&pipeline, &graph, &objective, &ground, k, &batched)
-            .map(drop)
-            .expect("batched dataflow greedy");
-    });
     let total_secs = wall.elapsed().as_secs_f64();
 
     let events = submod_obs::take_spans();

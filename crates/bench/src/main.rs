@@ -35,7 +35,7 @@
 //!   --report-memory
 //!                print peak driver-side bytes for the bounding and
 //!                multi-round greedy drivers (in-memory tables/queues vs
-//!                engine-resident candidates/winner rows), turning the
+//!                engine-resident candidates/rows ≥ τ), turning the
 //!                §5 larger-than-memory claim into a number
 //!   --graph-store mem|mmap
 //!                graph backing (default mem). `mmap` writes each

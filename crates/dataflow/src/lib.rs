@@ -16,10 +16,9 @@
 //!   budget-aware keyed combiner [`PCollection::aggregate_per_key`], and
 //!   aggregations including the distributed
 //!   [`PCollection::kth_largest`] selection that powers the bounding
-//!   thresholds, its row-returning twin [`PCollection::kth_largest_rows`]
-//!   behind the batched greedy's candidate screen, and the per-key top-1
-//!   selection [`PCollection::argmax_per_key`] behind the
-//!   engine-resident distributed greedy.
+//!   thresholds and its row-returning twin
+//!   [`PCollection::kth_largest_rows`] behind the engine-resident
+//!   distributed greedy's candidate screen.
 //! - [`SideInput`] / [`BroadcastSet`] — broadcast side-inputs for small
 //!   driver-side values (solution sets, status bitsets), metered by
 //!   [`PipelineMetrics::bytes_broadcast`], and the deterministic seeded

@@ -139,6 +139,10 @@ pub enum PartitionStyle {
     Random,
 }
 
+/// Winners certified per engine pass by default on the dataflow drivers
+/// (multi-round greedy and GreeDi's map phase).
+pub(crate) const DEFAULT_WINNER_BATCH: usize = 64;
+
 /// Configuration of the multi-round distributed greedy algorithm
 /// (paper §4.4).
 #[derive(Clone, Debug, PartialEq)]
@@ -172,7 +176,7 @@ impl DistGreedyConfig {
             seed: 0,
             schedule: DeltaSchedule::default_schedule(),
             adversarial_first_round: None,
-            winner_batch: 0,
+            winner_batch: DEFAULT_WINNER_BATCH,
         })
     }
 
@@ -204,15 +208,15 @@ impl DistGreedyConfig {
         self
     }
 
-    /// Enables the dataflow driver's threshold-filtered multi-winner
-    /// passes: each engine pass certifies up to `batch` winners at once
-    /// instead of one per machine per pass, cutting the pass count by up
-    /// to `batch / machines` while selecting the **identical** subset
-    /// (invalidated pops fall back to further passes). `0` (the default)
-    /// keeps the one-pop-per-step lockstep. The in-memory driver ignores
-    /// the setting — its bulk path already runs machines to completion.
+    /// Sets the dataflow driver's batch size `B` (default 64; `0` counts
+    /// as 1). Each engine pass collects the rows at or above the `B`-th
+    /// largest live priority and certifies up to `B` pops from them, so
+    /// a phase of `q` pops per machine takes about `q·machines / B`
+    /// passes; pops the replay cannot certify wait for a later pass. The
+    /// selection is **identical** at every `B`. The in-memory driver
+    /// ignores the setting — it runs each machine to its quota directly.
     pub fn winner_batch(mut self, batch: usize) -> Self {
-        self.winner_batch = batch;
+        self.winner_batch = batch.max(1);
         self
     }
 

@@ -4,23 +4,26 @@
 //! Partition assignment is a deterministic keyed transform
 //! ([`MachineKeying`]): the machine of a node depends only on the keying
 //! parameters and the node id, never on sharding, scheduling, or a
-//! driver-side permutation. Per-machine selection then advances in
-//! **synchronized Algorithm-2 steps**: each step every machine pops its
-//! best remaining candidate, and between steps the previous winners'
-//! still-unselected same-machine neighbors lose `(β/α)·s(winner, ·)`
-//! priority — exactly the priority-queue greedy of `submod_core`, run one
-//! pop per machine per step.
+//! driver-side permutation. Every machine then runs the centralized
+//! priority-queue greedy of `submod_core` over its partition: pop the
+//! best remaining candidate, and its still-unselected same-machine
+//! neighbors lose `(β/α)·s(winner, ·)` priority (Algorithm 2's
+//! decrease). Machines never interact within a phase, so a phase's
+//! outcome is each machine's pop sequence, reassembled **step-major**:
+//! step `t` holds the `t`-th pop of every machine, ascending by machine.
 //!
 //! Everything backend-specific hides behind [`MachineGreedyBackend`]:
 //!
 //! - [`InMemoryGreedyBackend`] keys the pool into per-machine
-//!   [`AddressablePq`]s on the driver — the `O(pool)`-per-phase baseline.
+//!   [`AddressablePq`]s on the driver and runs each machine to its quota
+//!   — the `O(pool)`-per-phase baseline and the differential suites'
+//!   oracle.
 //! - [`DataflowGreedyBackend`] keeps the scored pool inside the engine as
-//!   a `(machine, (node, priority))` collection: winners come from the
-//!   engine's per-key argmax aggregation
-//!   (`PCollection::argmax_per_key`), the previous winners ride to
-//!   workers as a broadcast side-input, and only `O(machines)` rows per
-//!   step ever reach the driver.
+//!   a `(machine, (node, priority))` collection. Each engine pass
+//!   collects the rows at or above a threshold τ (the batch's `B`-th
+//!   largest priority), certifies pops on the driver while their
+//!   corrected priority stays ≥ τ, and applies the certified batch back
+//!   to the table in one pass — the driver never sees the scored pool.
 //!
 //! Both backends run the same arithmetic in the same order — priorities
 //! seed from the utility, every decrease is the single subtraction
@@ -28,9 +31,10 @@
 //! direction, deduplicated), and ties resolve by the shared
 //! [`submod_dataflow::argmax_prefers`] order, which is also the
 //! addressable queue's pop order — so the drivers select **bitwise
-//! identical** subsets.
+//! identical** subsets at every batch size.
 
 use crate::DistError;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use submod_core::{AddressablePq, NodeId, NodeSet, PairwiseObjective, SimilarityGraph};
 use submod_dataflow::{PCollection, Pipeline};
@@ -84,16 +88,6 @@ impl MachineKeying {
     }
 }
 
-/// What a backend hands the driver after one synchronized step: at most
-/// one `(machine, node, priority)` winner per machine, ascending by
-/// machine, plus the driver bytes materialized to produce them.
-pub(crate) struct StepWinners {
-    /// The per-machine argmax rows, ascending by machine.
-    pub winners: Vec<(u64, u64, f64)>,
-    /// Driver-side bytes this step collected.
-    pub driver_bytes: u64,
-}
-
 /// A per-machine greedy execution backend: everything that differs
 /// between the in-memory reference and the dataflow engine. The round
 /// loop, Δ-schedule bookkeeping, and winner accounting downstream are
@@ -108,21 +102,10 @@ pub(crate) trait MachineGreedyBackend {
     /// here; the engine-resident backend pays nothing).
     fn begin_phase(&mut self, keying: MachineKeying, machines: usize) -> Result<u64, DistError>;
 
-    /// Applies the previous step's winners — each winner leaves its
-    /// machine's pool, and its still-unselected same-machine neighbors
-    /// lose `(β/α)·s` priority (Algorithm 2's decrease) — then returns
-    /// the next per-machine argmax winners.
-    fn step(&mut self, previous: &[(u64, u64)]) -> Result<StepWinners, DistError>;
-
-    /// Optional fast path: run the whole phase (up to `quota` steps) in
-    /// one shot and return the outcome, or `None` to have [`run_phase`]
-    /// drive the step loop. An implementation must produce the *exact*
-    /// outcome of the step loop — machines are independent within a
-    /// phase, so free-running them and reassembling the step-major order
-    /// is equivalent to the lockstep.
-    fn phase_bulk(&mut self, _n: usize, _quota: usize) -> Result<Option<PhaseOutcome>, DistError> {
-        Ok(None)
-    }
+    /// Runs the phase: every machine pops up to `quota` winners from its
+    /// partition, each pop discounting its same-machine neighbors, and
+    /// the pop sequences come back step-major ([`PhaseOutcome`]).
+    fn run_phase(&mut self, n: usize, quota: usize) -> Result<PhaseOutcome, DistError>;
 
     /// Ends the phase, restricting the pool to `survivors`.
     fn end_phase(&mut self, survivors: &NodeSet) -> Result<(), DistError>;
@@ -146,53 +129,46 @@ pub(crate) struct PhaseOutcome {
     pub selected: Vec<NodeId>,
     /// The same winners as a membership set.
     pub members: NodeSet,
-    /// Steps that produced at least one winner.
+    /// Pop depth of the phase: the longest machine pop sequence.
     pub steps: usize,
-    /// Largest single-step winner collection.
+    /// Largest single-step winner count: the machines that pop at all,
+    /// since every one of them takes part in step 0.
     pub peak_step_winners: usize,
-    /// Driver bytes collected across the phase's steps.
+    /// Driver bytes collected across the phase.
     pub driver_bytes: u64,
 }
 
-/// Runs up to `quota` synchronized steps against `backend`. Every
-/// machine with a surviving candidate contributes one winner per step,
-/// so machine `m` ends the phase with `min(quota, |pool_m|)` selections —
-/// the same count as a driver-side local greedy, in synchronized order.
-pub(crate) fn run_phase(
-    backend: &mut dyn MachineGreedyBackend,
-    n: usize,
-    quota: usize,
-) -> Result<PhaseOutcome, DistError> {
-    if let Some(outcome) = backend.phase_bulk(n, quota)? {
-        return Ok(outcome);
-    }
-    let mut outcome = PhaseOutcome {
-        selected: Vec::new(),
-        members: NodeSet::new(n),
-        steps: 0,
-        peak_step_winners: 0,
-        driver_bytes: 0,
-    };
-    let mut previous: Vec<(u64, u64)> = Vec::new();
-    for _ in 0..quota {
-        let step = backend.step(&previous)?;
-        if step.winners.is_empty() {
-            break;
+impl PhaseOutcome {
+    /// Reassembles per-machine pop sequences (ascending by machine)
+    /// step-major: step `t` collects the `t`-th pop of every machine that
+    /// has one, in machine order.
+    fn step_major<'s>(
+        n: usize,
+        sequences: impl Iterator<Item = &'s Vec<u64>> + Clone,
+        driver_bytes: u64,
+    ) -> PhaseOutcome {
+        let mut outcome = PhaseOutcome {
+            selected: Vec::new(),
+            members: NodeSet::new(n),
+            steps: 0,
+            peak_step_winners: 0,
+            driver_bytes,
+        };
+        let longest = sequences.clone().map(Vec::len).max().unwrap_or(0);
+        for step in 0..longest {
+            let mut step_winners = 0usize;
+            for pops in sequences.clone() {
+                if let Some(&node) = pops.get(step) {
+                    outcome.selected.push(NodeId::new(node));
+                    outcome.members.insert(NodeId::new(node));
+                    step_winners += 1;
+                }
+            }
+            outcome.steps += 1;
+            outcome.peak_step_winners = outcome.peak_step_winners.max(step_winners);
         }
-        outcome.steps += 1;
-        outcome.peak_step_winners = outcome.peak_step_winners.max(step.winners.len());
-        outcome.driver_bytes += step.driver_bytes;
-        previous = step
-            .winners
-            .iter()
-            .map(|&(machine, node, _)| {
-                outcome.selected.push(NodeId::new(node));
-                outcome.members.insert(NodeId::new(node));
-                (machine, node)
-            })
-            .collect();
+        outcome
     }
-    Ok(outcome)
 }
 
 /// Sorted, deduplicated raw ids — the canonical pool representation both
@@ -209,7 +185,7 @@ fn canonical_pool(ground: &[NodeId]) -> Vec<u64> {
 /// on the driver (`O(pool)` per phase — the baseline the engine-resident
 /// driver is measured against). Buckets are ascending by id, so the
 /// queue's smaller-local-index tie-break is the smaller-node-id
-/// tie-break of the engine argmax.
+/// tie-break of the dataflow replay's `argmax_prefers` order.
 pub(crate) struct InMemoryGreedyBackend<'a> {
     graph: &'a SimilarityGraph,
     objective: &'a PairwiseObjective,
@@ -259,40 +235,12 @@ impl MachineGreedyBackend for InMemoryGreedyBackend<'_> {
         Ok((self.pool.len() * (size_of::<u64>() + size_of::<f64>() + 2 * size_of::<u32>())) as u64)
     }
 
-    fn step(&mut self, previous: &[(u64, u64)]) -> Result<StepWinners, DistError> {
-        // Algorithm 2's decrease wave: the previous winner of machine `m`
-        // walks its adjacency; every still-enqueued same-bucket neighbor
-        // loses `(β/α)·s`. Machines are disjoint, so waves never interact.
-        let ratio = self.objective.ratio();
-        for &(machine, winner) in previous {
-            let bucket = &self.buckets[machine as usize];
-            let queue = &mut self.queues[machine as usize];
-            for (x, s) in self.graph.edges(NodeId::new(winner)) {
-                if let Ok(local) = bucket.binary_search(&x.raw()) {
-                    if queue.contains(local as u32) {
-                        queue.decrease_by(local as u32, ratio * f64::from(s));
-                    }
-                }
-            }
-        }
-        let mut winners = Vec::new();
-        for (machine, queue) in self.queues.iter_mut().enumerate() {
-            if let Some((local, priority)) = queue.pop_max() {
-                winners.push((machine as u64, self.buckets[machine][local as usize], priority));
-            }
-        }
-        let driver_bytes = (winners.len() * size_of::<(u64, u64, f64)>()) as u64;
-        Ok(StepWinners { winners, driver_bytes })
-    }
-
-    fn phase_bulk(&mut self, n: usize, quota: usize) -> Result<Option<PhaseOutcome>, DistError> {
+    fn run_phase(&mut self, n: usize, quota: usize) -> Result<PhaseOutcome, DistError> {
         // Machines never interact within a phase (disjoint buckets and
-        // queues, decreases never cross a machine), so the lockstep of
-        // [`run_phase`] is only an *accounting* order: each machine can
-        // run its whole pop/decrease sequence independently. One
-        // coarse-grained `parallel_map` region per phase — the PR 2
-        // concurrency shape — and the step-major outcome is reassembled
-        // exactly (machine `m`'s `t`-th pop *is* its step-`t` winner).
+        // queues, decreases never cross a machine), so each machine runs
+        // its whole pop/decrease sequence independently: one
+        // coarse-grained `parallel_map` region per phase, reassembled
+        // step-major in machine order.
         let ratio = self.objective.ratio();
         let graph = self.graph;
         let machines: Vec<(&Vec<u64>, &mut AddressablePq)> =
@@ -313,28 +261,10 @@ impl MachineGreedyBackend for InMemoryGreedyBackend<'_> {
             }
             sequence
         });
-        let mut outcome = PhaseOutcome {
-            selected: Vec::new(),
-            members: NodeSet::new(n),
-            steps: 0,
-            peak_step_winners: 0,
-            driver_bytes: 0,
-        };
-        let longest = sequences.iter().map(Vec::len).max().unwrap_or(0);
-        for step in 0..longest {
-            let mut step_winners = 0usize;
-            for sequence in &sequences {
-                if let Some(&node) = sequence.get(step) {
-                    outcome.selected.push(NodeId::new(node));
-                    outcome.members.insert(NodeId::new(node));
-                    step_winners += 1;
-                }
-            }
-            outcome.steps += 1;
-            outcome.peak_step_winners = outcome.peak_step_winners.max(step_winners);
-            outcome.driver_bytes += (step_winners * size_of::<(u64, u64, f64)>()) as u64;
-        }
-        Ok(Some(outcome))
+        // One `(machine, node, priority)` winner row per pop.
+        let winners: usize = sequences.iter().map(Vec::len).sum();
+        let driver_bytes = (winners * size_of::<(u64, u64, f64)>()) as u64;
+        Ok(PhaseOutcome::step_major(n, sequences.iter(), driver_bytes))
     }
 
     fn end_phase(&mut self, survivors: &NodeSet) -> Result<(), DistError> {
@@ -361,11 +291,11 @@ impl MachineGreedyBackend for InMemoryGreedyBackend<'_> {
 
 /// The engine-resident driver: the scored pool is born, lives, and dies
 /// inside the dataflow engine as a `(machine, (node, priority))`
-/// collection. Per step it broadcasts the previous winners as a
-/// side-input, applies the decrease wave shard-locally, selects each
-/// machine's argmax with the engine's per-key top-1 aggregation, and
-/// collects **only the winner rows** — `O(machines)` driver bytes per
-/// step, never `O(partition)`.
+/// collection. Each engine pass collects the rows at or above the
+/// threshold τ of its batch, certifies up to `winner_batch` pops on the
+/// driver, and applies them back to the table shard-locally with the
+/// winners broadcast as a side-input — the driver holds the collected
+/// rows of one pass, never `O(partition)`.
 pub(crate) struct DataflowGreedyBackend<'a> {
     pipeline: &'a Pipeline,
     graph: &'a SimilarityGraph,
@@ -376,8 +306,8 @@ pub(crate) struct DataflowGreedyBackend<'a> {
     pool_len: usize,
     table: Option<PCollection<ScoredRow>>,
     broadcast_base: u64,
-    /// Multi-winner batch size for [`Self::phase_bulk`]; 0 disables the
-    /// batched mode and phases run the lockstep step loop.
+    /// τ rank per engine pass (≥ 1): each pass collects the rows at or
+    /// above the `winner_batch`-th largest priority.
     winner_batch: usize,
 }
 
@@ -416,6 +346,7 @@ impl<'a> DataflowGreedyBackend<'a> {
         graph: &'a SimilarityGraph,
         objective: &'a PairwiseObjective,
         ground: &[NodeId],
+        winner_batch: usize,
     ) -> Self {
         let ids = canonical_pool(ground);
         let pool_len = ids.len();
@@ -429,23 +360,15 @@ impl<'a> DataflowGreedyBackend<'a> {
             pool_len,
             table: None,
             broadcast_base,
-            winner_batch: 0,
+            winner_batch,
         }
-    }
-
-    /// Enables the threshold-filtered multi-winner mode: each engine pass
-    /// collects up to `batch` certified winners instead of one per
-    /// machine. 0 (the default) keeps the one-pop-per-step lockstep.
-    pub(crate) fn with_winner_batch(mut self, batch: usize) -> Self {
-        self.winner_batch = batch;
-        self
     }
 
     /// Applies one group of winners (in pop order) to the engine-resident
     /// table: every winner leaves its machine's pool, and each surviving
     /// same-machine candidate receives the winners' discounts **in pop
-    /// order** — the same subtraction sequence, in the same order, as the
-    /// per-step updates, so intermediate priorities stay bit-identical.
+    /// order** — the same subtraction sequence, in the same order, as a
+    /// per-pop queue update, so intermediate priorities stay bit-identical.
     /// Each row costs one binary search into the batch's discount table.
     fn apply_winners(
         &self,
@@ -484,41 +407,13 @@ impl MachineGreedyBackend for DataflowGreedyBackend<'_> {
         Ok(0)
     }
 
-    fn step(&mut self, previous: &[(u64, u64)]) -> Result<StepWinners, DistError> {
-        let mut table = self.table.clone().expect("step called outside a phase");
-        if !previous.is_empty() {
-            // Ship the winners with their adjacency and apply the
-            // decrease wave shard-locally: the winner leaves its
-            // machine's pool, and every surviving same-machine candidate
-            // adjacent to it loses `(β/α)·s(winner, v)` — the same single
-            // subtraction, with the winner-side edge weight, as the queue
-            // update. The update fuses with the argmax scan below into
-            // one pass over the table.
-            table = self.apply_winners(&table, previous)?;
-            self.table = Some(table.clone());
-        }
-        let mut winners: Vec<(u64, u64, f64)> = table
-            .argmax_per_key()?
-            .collect()?
-            .into_iter()
-            .map(|(machine, (node, priority))| (machine, node, priority))
-            .collect();
-        winners.sort_unstable_by_key(|&(machine, _, _)| machine);
-        let driver_bytes = (winners.len() * size_of::<(u64, u64, f64)>()) as u64;
-        Ok(StepWinners { winners, driver_bytes })
-    }
-
-    fn phase_bulk(&mut self, n: usize, quota: usize) -> Result<Option<PhaseOutcome>, DistError> {
-        if self.winner_batch == 0 {
-            return Ok(None);
-        }
-        let mut table = self.table.clone().expect("phase_bulk called outside a phase");
+    fn run_phase(&mut self, n: usize, quota: usize) -> Result<PhaseOutcome, DistError> {
+        let mut table = self.table.clone().expect("run_phase called outside a phase");
         let ratio = self.objective.ratio();
         // Per-machine pop sequences (machine id → winners in pop order),
-        // reassembled step-major at the end: machine `m`'s `t`-th pop *is*
-        // its step-`t` winner, exactly like the in-memory bulk path.
-        let mut sequences: std::collections::BTreeMap<u64, Vec<u64>> =
-            std::collections::BTreeMap::new();
+        // reassembled step-major at the end, exactly like the in-memory
+        // path.
+        let mut sequences: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
         let mut done: Vec<u64> = Vec::new(); // machines at quota, sorted
         let mut driver_bytes = 0u64;
         if quota > 0 {
@@ -585,25 +480,11 @@ impl MachineGreedyBackend for DataflowGreedyBackend<'_> {
                     }
                 }
                 if batch_winners.is_empty() {
-                    // Defensive fallback: certify one true argmax per
-                    // machine with a single per-key top-1 pass, so the
-                    // loop always advances.
-                    let mut rows: Vec<(u64, (u64, f64))> = table.argmax_per_key()?.collect()?;
-                    rows.sort_unstable_by_key(|&(m, _)| m);
-                    driver_bytes += (rows.len() * size_of::<(u64, u64, f64)>()) as u64;
-                    for (machine, (node, _)) in rows {
-                        let pops = sequences.entry(machine).or_default();
-                        if pops.len() < quota {
-                            pops.push(node);
-                            batch_winners.push((machine, node));
-                        }
-                        if pops.len() == quota {
-                            newly_done.push(machine);
-                        }
-                    }
-                    if batch_winners.is_empty() {
-                        break; // every machine with rows is at quota
-                    }
+                    // Unreachable for NaN-free priorities: at least one
+                    // row is ≥ τ, its machine is below quota (machines at
+                    // quota left the table), and a machine's first pop in
+                    // a batch takes no discount. Fail rather than spin.
+                    return Err(DistError::PhaseStalled { remaining });
                 }
                 // One engine pass applies the whole batch: winners leave,
                 // survivors take the discounts in pop order
@@ -621,29 +502,7 @@ impl MachineGreedyBackend for DataflowGreedyBackend<'_> {
                 self.table = Some(table.clone());
             }
         }
-        // Step-major reassembly: step t collects the t-th pop of every
-        // machine, ascending by machine — identical to the lockstep order.
-        let mut outcome = PhaseOutcome {
-            selected: Vec::new(),
-            members: NodeSet::new(n),
-            steps: 0,
-            peak_step_winners: 0,
-            driver_bytes,
-        };
-        let longest = sequences.values().map(Vec::len).max().unwrap_or(0);
-        for step in 0..longest {
-            let mut step_winners = 0usize;
-            for pops in sequences.values() {
-                if let Some(&node) = pops.get(step) {
-                    outcome.selected.push(NodeId::new(node));
-                    outcome.members.insert(NodeId::new(node));
-                    step_winners += 1;
-                }
-            }
-            outcome.steps += 1;
-            outcome.peak_step_winners = outcome.peak_step_winners.max(step_winners);
-        }
-        Ok(Some(outcome))
+        Ok(PhaseOutcome::step_major(n, sequences.values(), driver_bytes))
     }
 
     fn end_phase(&mut self, survivors: &NodeSet) -> Result<(), DistError> {
@@ -673,7 +532,7 @@ impl MachineGreedyBackend for DataflowGreedyBackend<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use submod_core::GraphBuilder;
+    use submod_core::{greedy_select_with, GraphBuilder, GreedyOptions};
 
     fn instance(n: usize) -> (SimilarityGraph, PairwiseObjective) {
         let mut b = GraphBuilder::new(n);
@@ -711,102 +570,84 @@ mod tests {
     }
 
     #[test]
-    fn backends_agree_step_for_step() {
-        let (graph, objective) = instance(24);
-        let ground = ground(24);
-        let pipeline = Pipeline::new(3).unwrap();
-        let mut mem = InMemoryGreedyBackend::new(&graph, &objective, &ground);
-        let mut df = DataflowGreedyBackend::new(&pipeline, &graph, &objective, &ground);
-        for backend in [&mut mem as &mut dyn MachineGreedyBackend, &mut df] {
-            backend.begin_phase(MachineKeying::Hash { seed: 11, machines: 3 }, 3).unwrap();
-        }
-        let mut prev_mem: Vec<(u64, u64)> = Vec::new();
-        let mut prev_df: Vec<(u64, u64)> = Vec::new();
-        for step in 0..8 {
-            let a = mem.step(&prev_mem).unwrap();
-            let b = df.step(&prev_df).unwrap();
-            assert_eq!(a.winners.len(), b.winners.len(), "step {step}");
-            for (x, y) in a.winners.iter().zip(&b.winners) {
-                assert_eq!(x.0, y.0, "machine at step {step}");
-                assert_eq!(x.1, y.1, "node at step {step}");
-                assert_eq!(x.2.to_bits(), y.2.to_bits(), "priority bits at step {step}");
-            }
-            prev_mem = a.winners.iter().map(|&(m, v, _)| (m, v)).collect();
-            prev_df = prev_mem.clone();
-        }
-    }
-
-    #[test]
-    fn bulk_phase_equals_step_loop_and_dataflow() {
+    fn in_memory_phase_is_each_machines_local_greedy() {
+        // The oracle's own oracle: the phase is the centralized
+        // Algorithm-2 greedy on each machine's induced partition,
+        // interleaved step-major, and the dataflow backend at the default
+        // batch reproduces it.
         let (graph, objective) = instance(30);
         let ground = ground(30);
         let keying = || MachineKeying::Hash { seed: 7, machines: 4 };
+        let options = GreedyOptions::new().allow_negative_gains(true);
         for quota in [0usize, 1, 3, 8, 50] {
-            // In-memory via the bulk fast path (what run_phase dispatches).
-            let mut bulk = InMemoryGreedyBackend::new(&graph, &objective, &ground);
-            bulk.begin_phase(keying(), 4).unwrap();
-            let via_bulk = run_phase(&mut bulk, 30, quota).unwrap();
-            // In-memory forced through the generic step loop.
-            let mut stepped = InMemoryGreedyBackend::new(&graph, &objective, &ground);
-            stepped.begin_phase(keying(), 4).unwrap();
-            let mut via_steps = PhaseOutcome {
-                selected: Vec::new(),
-                members: NodeSet::new(30),
-                steps: 0,
-                peak_step_winners: 0,
-                driver_bytes: 0,
-            };
-            let mut previous: Vec<(u64, u64)> = Vec::new();
-            for _ in 0..quota {
-                let step = stepped.step(&previous).unwrap();
-                if step.winners.is_empty() {
-                    break;
-                }
-                via_steps.steps += 1;
-                via_steps.peak_step_winners = via_steps.peak_step_winners.max(step.winners.len());
-                via_steps.driver_bytes += step.driver_bytes;
-                previous = step
-                    .winners
-                    .iter()
-                    .map(|&(m, v, _)| {
-                        via_steps.selected.push(NodeId::new(v));
-                        via_steps.members.insert(NodeId::new(v));
-                        (m, v)
-                    })
-                    .collect();
-            }
-            assert_eq!(via_bulk.selected, via_steps.selected, "quota {quota}");
-            assert_eq!(via_bulk.steps, via_steps.steps, "quota {quota}");
-            assert_eq!(via_bulk.peak_step_winners, via_steps.peak_step_winners);
-            assert_eq!(via_bulk.driver_bytes, via_steps.driver_bytes);
-            // And the dataflow backend (no bulk path) agrees too.
+            let mut mem = InMemoryGreedyBackend::new(&graph, &objective, &ground);
+            mem.begin_phase(keying(), 4).unwrap();
+            let oracle = mem.run_phase(30, quota).unwrap();
+            // Each machine's centralized greedy, then the step-major
+            // interleaving: step `t` is every machine's `t`-th pop.
+            let per_machine: Vec<Vec<NodeId>> = (0..4)
+                .map(|machine| {
+                    let bucket: Vec<NodeId> = ground
+                        .iter()
+                        .copied()
+                        .filter(|v| keying().machine_of(v.raw()) == machine)
+                        .collect();
+                    let utilities = bucket.iter().map(|&v| objective.utility(v) as f32).collect();
+                    let local_objective =
+                        PairwiseObjective::new(objective.alpha(), objective.beta(), utilities)
+                            .unwrap();
+                    let budget = quota.min(bucket.len());
+                    let local_graph = graph.induced_subgraph(&bucket);
+                    greedy_select_with(&local_graph, &local_objective, budget, &options)
+                        .unwrap()
+                        .selected()
+                        .iter()
+                        .map(|l| bucket[l.index()])
+                        .collect()
+                })
+                .collect();
+            let longest = per_machine.iter().map(Vec::len).max().unwrap_or(0);
+            let expected: Vec<NodeId> = (0..longest)
+                .flat_map(|t| per_machine.iter().filter_map(move |pops| pops.get(t).copied()))
+                .collect();
+            assert_eq!(oracle.selected, expected, "quota {quota}");
+            assert_eq!(oracle.steps, longest, "quota {quota}");
+            let first_step = per_machine.iter().filter(|pops| !pops.is_empty()).count();
+            assert_eq!(oracle.peak_step_winners, first_step, "quota {quota}");
+            assert_eq!(oracle.driver_bytes, 24 * oracle.selected.len() as u64);
             let pipeline = Pipeline::new(3).unwrap();
-            let mut df = DataflowGreedyBackend::new(&pipeline, &graph, &objective, &ground);
+            let mut df = DataflowGreedyBackend::new(
+                &pipeline,
+                &graph,
+                &objective,
+                &ground,
+                crate::config::DEFAULT_WINNER_BATCH,
+            );
             df.begin_phase(keying(), 4).unwrap();
-            let via_df = run_phase(&mut df, 30, quota).unwrap();
-            assert_eq!(via_bulk.selected, via_df.selected, "quota {quota}");
-            assert_eq!(via_bulk.steps, via_df.steps);
+            let via_df = df.run_phase(30, quota).unwrap();
+            assert_eq!(via_df.selected, oracle.selected, "quota {quota}");
+            assert_eq!(via_df.steps, oracle.steps);
+            assert_eq!(via_df.peak_step_winners, oracle.peak_step_winners);
         }
     }
 
     #[test]
-    fn batched_phase_matches_lockstep_exactly() {
+    fn batched_phase_matches_the_in_memory_oracle_exactly() {
         let (graph, objective) = instance(30);
         let ground = ground(30);
         let keying = || MachineKeying::Hash { seed: 7, machines: 4 };
         for (batch, quota) in [(1usize, 3usize), (2, 8), (3, 0), (8, 8), (64, 50)] {
+            let mut mem = InMemoryGreedyBackend::new(&graph, &objective, &ground);
+            mem.begin_phase(keying(), 4).unwrap();
+            let oracle = mem.run_phase(30, quota).unwrap();
             let pipeline = Pipeline::new(3).unwrap();
-            let mut lock = DataflowGreedyBackend::new(&pipeline, &graph, &objective, &ground);
-            lock.begin_phase(keying(), 4).unwrap();
-            let via_steps = run_phase(&mut lock, 30, quota).unwrap();
-            let pipeline = Pipeline::new(3).unwrap();
-            let mut batched = DataflowGreedyBackend::new(&pipeline, &graph, &objective, &ground)
-                .with_winner_batch(batch);
+            let mut batched =
+                DataflowGreedyBackend::new(&pipeline, &graph, &objective, &ground, batch);
             batched.begin_phase(keying(), 4).unwrap();
-            let via_batch = run_phase(&mut batched, 30, quota).unwrap();
-            assert_eq!(via_batch.selected, via_steps.selected, "batch {batch} quota {quota}");
-            assert_eq!(via_batch.steps, via_steps.steps, "batch {batch} quota {quota}");
-            assert_eq!(via_batch.peak_step_winners, via_steps.peak_step_winners);
+            let via_batch = batched.run_phase(30, quota).unwrap();
+            assert_eq!(via_batch.selected, oracle.selected, "batch {batch} quota {quota}");
+            assert_eq!(via_batch.steps, oracle.steps, "batch {batch} quota {quota}");
+            assert_eq!(via_batch.peak_step_winners, oracle.peak_step_winners);
         }
     }
 
@@ -816,7 +657,7 @@ mod tests {
         let ground = ground(9);
         let mut mem = InMemoryGreedyBackend::new(&graph, &objective, &ground);
         mem.begin_phase(MachineKeying::Contiguous { chunk: 3 }, 3).unwrap();
-        let outcome = run_phase(&mut mem, 9, 100).unwrap();
+        let outcome = mem.run_phase(9, 100).unwrap();
         // Quota far above the bucket size: every machine empties after 3
         // steps and the phase stops.
         assert_eq!(outcome.steps, 3);

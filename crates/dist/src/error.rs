@@ -19,6 +19,13 @@ pub enum DistError {
     Dataflow(DataflowError),
     /// A checkpoint journal could not be written, read, or resumed.
     Journal(JournalError),
+    /// A dataflow greedy pass certified no pop although rows remained —
+    /// an invariant violation (NaN priorities, say), reported instead of
+    /// looping forever.
+    PhaseStalled {
+        /// Rows still in the engine-resident table.
+        remaining: u64,
+    },
 }
 
 impl DistError {
@@ -36,6 +43,9 @@ impl fmt::Display for DistError {
             DistError::Core(inner) => write!(f, "core failure: {inner}"),
             DistError::Dataflow(inner) => write!(f, "dataflow failure: {inner}"),
             DistError::Journal(inner) => write!(f, "journal failure: {inner}"),
+            DistError::PhaseStalled { remaining } => {
+                write!(f, "greedy phase certified no pop with {remaining} rows left")
+            }
         }
     }
 }
@@ -88,5 +98,6 @@ mod tests {
     #[test]
     fn display_is_informative() {
         assert!(DistError::config("p must be positive").to_string().contains("p must be"));
+        assert!(DistError::PhaseStalled { remaining: 7 }.to_string().contains("7 rows"));
     }
 }

@@ -8,16 +8,18 @@
 //! The **map phase** runs through the same shared backend as the
 //! multi-round algorithm (`MachineGreedyBackend`): partitions are a
 //! deterministic keyed transform (contiguous chunks for the original
-//! "arbitrary" analysis, a seeded hash for RandGreeDi), per-machine
-//! selection advances in synchronized Algorithm-2 steps, and on the
-//! dataflow driver ([`greedi_dataflow`]) the scored pool stays inside
-//! the engine with only `O(machines)` winner rows collected per step.
+//! "arbitrary" analysis, a seeded hash for RandGreeDi), every machine
+//! runs the Algorithm-2 greedy on its partition, and on the dataflow
+//! driver ([`greedi_dataflow`]) the scored pool stays inside the engine,
+//! each pass collecting only the rows ≥ τ it certifies a batch of pops
+//! from.
 //! The **merge phase** is deliberately driver-side on both drivers —
 //! holding the `m·k`-point union on one machine *is* the baseline's
 //! memory story the paper argues against.
 
+use crate::config::DEFAULT_WINNER_BATCH;
 use crate::engine::{
-    run_phase, DataflowGreedyBackend, InMemoryGreedyBackend, MachineGreedyBackend, MachineKeying,
+    DataflowGreedyBackend, InMemoryGreedyBackend, MachineGreedyBackend, MachineKeying,
 };
 use crate::multiround::machine_select;
 use crate::{DistError, PartitionStyle};
@@ -110,9 +112,9 @@ fn run_greedi(
             selected.iter().map(|&v| NodeId::new(v)).collect()
         } else {
             // Map phase: every machine solves its partition for the full
-            // budget `k`, one synchronized argmax step at a time.
+            // budget `k`.
             backend.begin_phase(keying_for(style, n, machines, seed), machines)?;
-            let outcome = run_phase(backend, n, k)?;
+            let outcome = backend.run_phase(n, k)?;
             if let Some(j) = journal.as_mut() {
                 j.append_sync(&submod_journal::Record::GreedyRound {
                     round: 1,
@@ -188,10 +190,10 @@ pub(crate) fn greedi_with_journal(
 }
 
 /// [`greedi`] with the map phase on the dataflow engine: partitions are
-/// engine shards of the keyed pool, per-machine argmax runs as engine
-/// aggregations, and the driver collects `O(machines)` winner rows per
-/// step until the `m·k`-point union is assembled for the (deliberately
-/// driver-side) merge.
+/// keys of the engine-resident scored pool, each engine pass certifies a
+/// batch of pops from the rows ≥ τ it collects, and the driver holds
+/// only those rows until the `m·k`-point union is assembled for the
+/// (deliberately driver-side) merge.
 ///
 /// The outcome is **identical** to [`greedi`] by construction.
 ///
@@ -225,7 +227,8 @@ pub(crate) fn greedi_dataflow_with_journal(
 ) -> Result<GreediReport, DistError> {
     validate(graph, objective, k, machines)?;
     let ground: Vec<NodeId> = (0..graph.num_nodes()).map(NodeId::from_index).collect();
-    let mut backend = DataflowGreedyBackend::new(pipeline, graph, objective, &ground);
+    let mut backend =
+        DataflowGreedyBackend::new(pipeline, graph, objective, &ground, DEFAULT_WINNER_BATCH);
     run_greedi(graph, objective, k, machines, style, seed, &mut backend, journal)
 }
 

@@ -15,11 +15,12 @@
 //!   multi-round partitioned greedy (§4.4) with [`DeltaSchedule`] pool
 //!   targets and optional adaptive partitioning. Both drivers share one
 //!   backend-parameterized round loop (partition assignment is a
-//!   deterministic keyed transform, per-machine argmax runs as
-//!   synchronized Algorithm-2 steps), so their selections are
+//!   deterministic keyed transform, every machine runs the Algorithm-2
+//!   priority-queue greedy on its partition), so their selections are
 //!   bitwise-identical; the dataflow driver keeps the scored pool
-//!   engine-resident and only collects `O(machines)` winner rows per
-//!   step, metered by [`GreedyStats`].
+//!   engine-resident and each engine pass collects only the rows at or
+//!   above a threshold τ, from which it certifies a batch of pops,
+//!   metered by [`GreedyStats`].
 //! - [`greedi`] / [`greedi_dataflow`] — the GreeDi / RandGreeDi baseline
 //!   whose merge machine must hold `m·k` points (§2's systems
 //!   motivation), with the map phase on the same shared backend.

@@ -5,24 +5,25 @@
 //! a deterministic hash ([`crate::engine::MachineKeying`]); every machine
 //! then runs the centralized priority-queue greedy over its partition
 //! (cross-partition edges are ignored — the information loss the
-//! multi-round structure exists to repair) in **synchronized steps**: one
-//! pop per machine per step, with the previous winners' neighbors
-//! receiving Algorithm 2's priority decrease between steps. The union of
-//! the machine selections is the next round's pool, so the pool shrinks
-//! from `n` toward `k` along the [`DeltaSchedule`], and a machine holds
-//! one round-1 partition — `n/m` points in expectation (the hash keying
-//! balances binomially, not exactly) — the §2 systems contrast with
-//! GreeDi's `m·k`-point merge.
+//! multi-round structure exists to repair): pop the best candidate, and
+//! its same-machine neighbors receive Algorithm 2's priority decrease.
+//! The union of the machine selections is the next round's pool, so the
+//! pool shrinks from `n` toward `k` along the [`DeltaSchedule`], and a
+//! machine holds one round-1 partition — `n/m` points in expectation
+//! (the hash keying balances binomially, not exactly) — the §2 systems
+//! contrast with GreeDi's `m·k`-point merge.
 //!
 //! Both drivers run the identical round loop over a shared backend
 //! (`MachineGreedyBackend`, the greedy counterpart of bounding's
 //! `PassBackend`): the in-memory driver holds per-machine priority
 //! queues (`O(pool)` driver bytes per round), while
 //! [`distributed_greedy_dataflow`] keeps the scored pool inside the
-//! engine and the driver only ever collects the `O(machines)` winner
-//! rows of each step plus the Δ-schedule bookkeeping. Their selections
-//! are **bitwise identical** at any thread count — the cross-driver
-//! differential suite pins this.
+//! engine and the driver only ever collects the rows at or above each
+//! pass's threshold τ — a batch of up to
+//! [`DistGreedyConfig::winner_batch`] certified pops — plus the
+//! Δ-schedule bookkeeping. Their selections are **bitwise identical** at
+//! any thread count and batch size — the cross-driver differential suite
+//! pins this.
 //!
 //! With [`DistGreedyConfig::adaptive`] the partition count drops as the
 //! pool shrinks, so machines stay full and late rounds approach the
@@ -31,7 +32,7 @@
 //! [`DeltaSchedule`]: crate::DeltaSchedule
 
 use crate::engine::{
-    run_phase, DataflowGreedyBackend, InMemoryGreedyBackend, MachineGreedyBackend, MachineKeying,
+    DataflowGreedyBackend, InMemoryGreedyBackend, MachineGreedyBackend, MachineKeying,
 };
 use crate::{DistError, DistGreedyConfig};
 use std::sync::Arc;
@@ -70,30 +71,32 @@ pub struct DistGreedyReport {
 /// distinguishes the drivers is `peak_round_bytes`, the largest per-round
 /// materialization: the in-memory driver keys the whole pool into
 /// per-machine priority queues (`O(pool)` per round), while the
-/// engine-resident dataflow driver only ever collects the per-step winner
-/// rows (`O(machines)` per step, `O(candidates)` per round — `candidates`
-/// being the round's selected points). Persistent driver state is the
-/// round's winner set and order: `O(round output)`.
+/// engine-resident dataflow driver only ever collects the rows at or
+/// above each pass's threshold τ (24 B each; every winner is among them
+/// at least once, so a round costs at least 24 B per selected point).
+/// Persistent driver state is the round's winner set and order:
+/// `O(round output)`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GreedyStats {
     /// Rounds executed.
     pub rounds: usize,
-    /// Synchronized argmax steps executed across all rounds.
+    /// Pop depth summed over rounds: a round's steps are its longest
+    /// machine pop sequence (step `t` holds every machine's `t`-th pop).
+    /// An accounting order, not an engine pass count.
     pub steps: usize,
     /// Peak bytes of per-round driver-side materializations (keyed pool
-    /// and queues for the in-memory driver; collected winner rows alone
-    /// for the dataflow driver).
+    /// and queues for the in-memory driver; the rows ≥ τ its passes
+    /// collected for the dataflow driver).
     pub peak_round_bytes: u64,
-    /// Largest single-step winner collection (bounded by the machine
-    /// count).
+    /// Largest single-step winner count (bounded by the machine count).
     pub peak_step_winners: usize,
-    /// Winner rows collected across the whole run.
+    /// Winners popped across the whole run.
     pub winners_collected: usize,
     /// Peak bytes of persistent driver state: the round's winner bitset,
     /// the ordered winner list, and the round statistics.
     pub peak_state_bytes: u64,
-    /// Bytes replicated to workers as broadcast side-inputs (previous
-    /// winners and survivor bitsets; 0 for the in-memory driver).
+    /// Bytes replicated to workers as broadcast side-inputs (certified
+    /// winner batches and survivor bitsets; 0 for the in-memory driver).
     pub bytes_broadcast: u64,
 }
 
@@ -233,7 +236,7 @@ fn finalize(
     Ok(Selection::new(pool, Vec::new(), value))
 }
 
-/// The shared round driver. The backend produces per-step winner rows;
+/// The shared round driver. The backend produces each phase's winners;
 /// everything downstream — the Δ-schedule targets, partition counts,
 /// keying, winner accounting, and the final trim — is common code, which
 /// is what guarantees in-memory/dataflow equality.
@@ -317,7 +320,7 @@ fn run_multiround(
         };
         let round_span = submod_obs::span("greedy.round");
         let phase_bytes = backend.begin_phase(keying, partitions)?;
-        let outcome = run_phase(backend, n, quota)?;
+        let outcome = backend.run_phase(n, quota)?;
         backend.end_phase(&outcome.members)?;
         drop(round_span);
         let state_bytes = (size_of_val(outcome.members.words())
@@ -417,9 +420,9 @@ pub(crate) fn distributed_greedy_with_journal(
 
 /// [`distributed_greedy`] on the dataflow engine: the scored pool lives
 /// in a [`submod_dataflow::PCollection`], partition assignment is the
-/// same deterministic keyed transform, per-machine argmax runs as
-/// engine-side aggregations, and the driver only collects the
-/// `O(machines)` winner rows of each step.
+/// same deterministic keyed transform, and each engine pass collects
+/// only the rows at or above its threshold τ, from which the driver
+/// certifies a batch of up to [`DistGreedyConfig::winner_batch`] pops.
 ///
 /// The outcome is **identical** to [`distributed_greedy`] by
 /// construction: both drivers share the round loop, the keying, the
@@ -442,7 +445,7 @@ pub fn distributed_greedy_dataflow(
 
 /// [`distributed_greedy_dataflow`] plus the driver-side memory
 /// accounting that proves the pool stayed engine-resident:
-/// `peak_round_bytes` covers only the collected winner rows.
+/// `peak_round_bytes` covers only the rows ≥ τ the passes collected.
 ///
 /// # Errors
 ///
@@ -471,8 +474,8 @@ pub(crate) fn distributed_greedy_dataflow_with_journal(
     journal: Option<&mut crate::journal::RunJournal>,
 ) -> Result<(DistGreedyReport, GreedyStats), DistError> {
     validate(graph, objective, ground, k)?;
-    let mut backend = DataflowGreedyBackend::new(pipeline, graph, objective, ground)
-        .with_winner_batch(config.winner_batch);
+    let mut backend =
+        DataflowGreedyBackend::new(pipeline, graph, objective, ground, config.winner_batch);
     run_multiround(graph, objective, ground, k, config, &mut backend, journal)
 }
 
@@ -622,14 +625,14 @@ mod tests {
         assert_eq!(mem_stats.steps, df_stats.steps);
         assert_eq!(mem_stats.winners_collected, df_stats.winners_collected);
         // The in-memory driver pays for the keyed pool; the dataflow
-        // driver only for winner rows.
+        // driver only for the rows ≥ τ its passes collect, which include
+        // every winner at least once.
         assert!(mem_stats.peak_round_bytes > df_stats.peak_round_bytes);
         let max_round_output =
             df.rounds.iter().map(|r| r.output_size).max().expect("at least one round");
-        assert_eq!(
-            df_stats.peak_round_bytes,
-            (max_round_output * size_of::<(u64, u64, f64)>()) as u64,
-            "dataflow round bytes must be winner rows only"
+        assert!(
+            df_stats.peak_round_bytes >= (max_round_output * size_of::<(u64, u64, f64)>()) as u64,
+            "every winner row must be collected"
         );
         assert!(df_stats.bytes_broadcast > 0, "winners and survivors must broadcast");
         assert_eq!(mem_stats.bytes_broadcast, 0);

@@ -200,19 +200,19 @@ fn memory_pressure_does_not_change_the_selection() {
 }
 
 #[test]
-fn batched_winner_passes_are_identical_to_lockstep() {
-    // The multi-winner engine passes (ISSUE 8) must select the identical
-    // subset as the one-pop-per-step lockstep and the in-memory driver,
-    // at every batch size and thread count.
+fn batched_winner_passes_are_identical_at_every_batch_size() {
+    // The multi-winner engine passes must select the identical subset at
+    // every batch size as at the default batch and as the in-memory
+    // driver, at every thread count.
     let (graph, objective) = clustered_instance(4, 8, 33);
     let n = graph.num_nodes();
-    let lockstep_config = DistGreedyConfig::new(3, 2).unwrap().seed(19).adaptive(true);
-    let lockstep =
-        assert_drivers_identical(&graph, &objective, &ground(n), n / 4, &lockstep_config, 3);
+    let default_config = DistGreedyConfig::new(3, 2).unwrap().seed(19).adaptive(true);
+    let default_batch =
+        assert_drivers_identical(&graph, &objective, &ground(n), n / 4, &default_config, 3);
     for batch in [1usize, 2, 3, 8, 64] {
-        let config = lockstep_config.clone().winner_batch(batch);
+        let config = default_config.clone().winner_batch(batch);
         let batched = assert_drivers_identical(&graph, &objective, &ground(n), n / 4, &config, 3);
-        assert_eq!(batched, lockstep, "winner_batch {batch} changed the outcome");
+        assert_eq!(batched, default_batch, "winner_batch {batch} changed the outcome");
     }
 }
 
@@ -226,13 +226,13 @@ fn batched_winner_invalidation_falls_back_identically() {
     // the selection still must not move by a bit.
     let (graph, objective) = degenerate_instance(5, 6);
     let n = graph.num_nodes();
-    let lockstep_config = DistGreedyConfig::new(2, 2).unwrap().seed(7);
-    let lockstep =
-        assert_drivers_identical(&graph, &objective, &ground(n), n / 2, &lockstep_config, 3);
+    let default_config = DistGreedyConfig::new(2, 2).unwrap().seed(7);
+    let default_batch =
+        assert_drivers_identical(&graph, &objective, &ground(n), n / 2, &default_config, 3);
     for batch in [1usize, 2, 4, 16] {
-        let config = lockstep_config.clone().winner_batch(batch);
+        let config = default_config.clone().winner_batch(batch);
         let batched = assert_drivers_identical(&graph, &objective, &ground(n), n / 2, &config, 3);
-        assert_eq!(batched, lockstep, "winner_batch {batch} changed the outcome");
+        assert_eq!(batched, default_batch, "winner_batch {batch} changed the outcome");
     }
 }
 
@@ -306,8 +306,8 @@ proptest! {
     }
 
     /// Batched-winner passes under random shapes, batch sizes, and
-    /// configurations: bit-exact against the lockstep dataflow driver and
-    /// the in-memory driver at every thread count.
+    /// configurations: bit-exact against the default-batch dataflow
+    /// driver and the in-memory driver at every thread count.
     #[test]
     fn batched_instances_are_identical(
         clusters in 2usize..5,
@@ -320,14 +320,14 @@ proptest! {
         let (graph, objective) = clustered_instance(clusters, per_cluster, seed);
         let n = graph.num_nodes();
         let k = (n / 4).max(1);
-        let lockstep_config =
+        let default_config =
             DistGreedyConfig::new(machines, rounds).expect("config").seed(seed);
-        let lockstep =
-            assert_drivers_identical(&graph, &objective, &ground(n), k, &lockstep_config, 3);
-        let batched_config = lockstep_config.winner_batch(batch);
+        let default_batch =
+            assert_drivers_identical(&graph, &objective, &ground(n), k, &default_config, 3);
+        let batched_config = default_config.winner_batch(batch);
         let batched =
             assert_drivers_identical(&graph, &objective, &ground(n), k, &batched_config, 3);
-        prop_assert_eq!(batched, lockstep);
+        prop_assert_eq!(batched, default_batch);
     }
 
     /// GreeDi under random shapes and both partition styles.
